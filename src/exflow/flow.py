@@ -1,5 +1,13 @@
 """Possible-exception computation.
 
+Each corpus method body is lowered once into a MethodSummary: the method's
+declared and doc-tagged exceptions, and a tree of regions. A region lists
+the lexical `throw new X()` sites (type resolved) and the call sites
+(callee resolved) whose exceptions reach it unfiltered, and the try
+statements it holds, each with its catch clauses resolved to type ids and
+the region of its body. Catch and finally bodies belong to the region
+around their try.
+
 Per-method escaping sets are the least fixed point of
 
     facts(M) = lexical throws surviving M's own try/catch nesting
@@ -7,8 +15,12 @@ Per-method escaping sets are the least fixed point of
              ∪ facts(callee) surviving the catch context, per call in M
 
 with external methods contributing their platform-documented exceptions.
-Iteration is round-robin over all corpus methods until no set changes,
-which converges for recursive and mutually recursive call graphs.
+A worklist over reverse call edges computes it: every corpus method is
+evaluated once in sorted id order, and each time a method's set changes,
+its callers are queued again in sorted order. The order never depends on
+hashing. Sets only grow, so the worklist empties on recursive and mutually
+recursive call graphs too. A try block's possible set is read off the same
+summary, from the region of its body.
 
 Evidence accumulates through call chains: a fact arriving at a try block
 carries every evidence kind observed anywhere along its paths, and facts
@@ -17,20 +29,20 @@ with the same exception type at the same call site are merged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from .classify import Strategy, classify_strategy
 from .model import (
     CorpusMethod, ExternalMethod, MethodId, SemanticModel, Unresolved,
 )
 from .syntax.ast import (
-    CatchClause, CompilationUnit, Invocation, NewInstance, SourcePosition,
-    Statement, ThrowStmt, TryStmt,
+    Block, CatchClause, CompilationUnit, Invocation, Lambda, NewInstance,
+    SourcePosition, Statement, ThrowStmt, TryStmt,
 )
 from .syntax.walk import (
-    iter_expressions, nested_blocks, statement_children,
-    statement_expressions,
+    iter_expressions, statement_children, statement_expressions,
 )
 
 import enum
@@ -95,15 +107,43 @@ class TryBlockAnalysis:
     distinct_method_count: dict[str, int]
 
 
-class _Context:
-    __slots__ = ("model", "sets", "unit")
+@dataclass
+class TryRegion:
+    """One try statement: its clauses with the caught names resolved to type
+    ids (a name that is unknown or not in the model matches nothing), the
+    union of those ids, and the region of its body."""
 
-    def __init__(self, model: SemanticModel,
-                 sets: dict[MethodId, MethodExceptionSet],
-                 unit: CompilationUnit):
-        self.model = model
-        self.sets = sets
-        self.unit = unit
+    clauses: tuple[tuple[CatchClause, tuple[str, ...]], ...]
+    caught: frozenset[str]
+    body: "Region"
+
+
+@dataclass
+class Region:
+    """The sites whose exceptions reach a region unfiltered: its statements,
+    their lambda and anonymous-class bodies, and the catch and finally
+    bodies of the tries it holds. Those tries filter their own bodies."""
+
+    throws: list[PossibleException] = field(default_factory=list)
+    calls: list[CallSiteOrigin] = field(default_factory=list)
+    tries: list[TryRegion] = field(default_factory=list)
+
+
+@dataclass
+class MethodSummary:
+    """A corpus method body lowered once for every consumer."""
+
+    own: dict[str, MethodFact]  # declared and doc-tagged exceptions
+    body: Region
+    tries: dict[str, TryRegion]  # by try id
+    callees: set[MethodId] = field(default_factory=set)
+
+
+def method_summary(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
+    """The method's summary, lowered on first use and kept on the method."""
+    if method.summary is None:
+        method.summary = _lower(model, method)
+    return method.summary
 
 
 def compute_method_exception_sets(
@@ -120,53 +160,24 @@ def compute_method_exception_sets(
             sets[mid] = MethodExceptionSet(mid, {})
 
     corpus = model.corpus_methods()
-    base: dict[MethodId, dict[str, MethodFact]] = {}
+    # corpus is sorted, so every callers list is too
+    callers: dict[MethodId, list[CorpusMethod]] = {}
     for method in corpus:
-        base[method.id] = {}
-        for name in method.decl.declared_throws:
-            tid = model.resolve_exception_name(name, method.unit)
-            if tid is None:
-                model.diagnostics.append(
-                    f"{method.decl.position}: unknown declared exception {name}")
-                continue
-            _merge_method_fact(base[method.id], tid,
-                               frozenset({EvidenceKind.THROWS_DECLARATION}),
-                               frozenset({method.id}))
-        if method.decl.doc is not None:
-            for name, _description in method.decl.doc.throws_tags:
-                tid = model.resolve_exception_name(name, method.unit)
-                if tid is None:
-                    model.diagnostics.append(
-                        f"{method.decl.position}: doc comment names unknown "
-                        f"exception {name}")
-                    continue
-                _merge_method_fact(base[method.id], tid,
-                                   frozenset({EvidenceKind.DOC_COMMENT}),
-                                   frozenset({method.id}))
+        for callee in method_summary(model, method).callees:
+            callers.setdefault(callee, []).append(method)
 
-    bound = max(1, len(model.method_table)) * max(1, len(model.exception_universe)) + 2
-    passes = 0
-    changed = True
-    while changed:
-        passes += 1
-        assert passes <= bound, "exception propagation failed to converge"
-        changed = False
-        for method in corpus:
-            facts: dict[str, MethodFact] = {}
-            for tid, fact in base[method.id].items():
-                _merge_method_fact(facts, tid, fact.evidence, fact.sources)
-            if method.decl.body is not None:
-                ctx = _Context(model, sets, method.unit)
-                region = _region_facts(method.decl.body.statements, ctx)
-                for fact in region.values():
-                    if isinstance(fact.origin, CallSiteOrigin):
-                        sources = fact.source_methods
-                    else:
-                        sources = frozenset({method.id})
-                    _merge_method_fact(facts, fact.type, fact.evidence, sources)
-            if facts != sets[method.id].facts:
-                sets[method.id] = MethodExceptionSet(method.id, facts)
-                changed = True
+    worklist = deque(corpus)
+    queued = {method.id for method in corpus}
+    while worklist:
+        method = worklist.popleft()
+        queued.discard(method.id)
+        facts = _evaluate_method(method, sets, model)
+        if facts != sets[method.id].facts:
+            sets[method.id] = MethodExceptionSet(method.id, facts)
+            for caller in callers.get(method.id, ()):
+                if caller.id not in queued:
+                    queued.add(caller.id)
+                    worklist.append(caller)
     return sets
 
 
@@ -175,13 +186,12 @@ def analyze_try_block(t: TryStmt, sets: dict[MethodId, MethodExceptionSet],
                       method: CorpusMethod) -> TryBlockAnalysis:
     """Partition the try body's possible exceptions into handled (with the
     first matching clause and its strategy) and propagated."""
-    ctx = _Context(model, sets, method.unit)
-    region = _region_facts(t.body.statements, ctx)
-    possible = frozenset(region.values())
+    region = method_summary(model, method).tries[t.id]
+    possible = frozenset(_reaching(region.body, sets, model.ancestors).values())
     handled: dict[PossibleException, tuple[CatchClause, str, Strategy]] = {}
     propagated: set[PossibleException] = set()
     for fact in sorted(possible, key=_fact_key):
-        match = _first_match(fact.type, t.catches, ctx)
+        match = _first_match(model.ancestors[fact.type], region.clauses)
         if match is None:
             propagated.add(fact)
         else:
@@ -212,64 +222,120 @@ def attribute_sources(analysis: TryBlockAnalysis, *, transitive: bool = False
 
 
 # ---------------------------------------------------------------------------
-# region collection
+# lowering and evaluation
 # ---------------------------------------------------------------------------
 
-def _region_facts(statements: Iterable[Statement],
-                  ctx: _Context) -> dict[tuple, PossibleException]:
-    """Facts arising from a statement region. Nested try statements filter
-    their body's facts through their own clauses; their catch and finally
-    bodies contribute unfiltered."""
-    facts: dict[tuple, PossibleException] = {}
-    for stmt in statements:
+_THROWN = frozenset({EvidenceKind.THROW_STATEMENT})
+
+
+def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
+    """Resolve the method's own exceptions, throw sites, call sites and
+    catch clauses, diagnosing each unknown exception name once."""
+    unit = method.unit
+    decl = method.decl
+    own: dict[str, MethodFact] = {}
+    itself = frozenset({method.id})
+    named = [(name, EvidenceKind.THROWS_DECLARATION,
+              "unknown declared exception") for name in decl.declared_throws]
+    if decl.doc is not None:
+        named += [(name, EvidenceKind.DOC_COMMENT,
+                   "doc comment names unknown exception")
+                  for name, _description in decl.doc.throws_tags]
+    for name, kind, complaint in named:
+        tid = model.resolve_exception_name(name, unit)
+        if tid is None:
+            model.diagnostics.append(f"{decl.position}: {complaint} {name}")
+        else:
+            _merge_method_fact(own, tid, frozenset({kind}), itself)
+
+    summary = MethodSummary(own, Region(), {})
+    statements = decl.body.statements if decl.body is not None else []
+    stack = [(stmt, summary.body) for stmt in reversed(statements)]
+    while stack:
+        stmt, region = stack.pop()
+        pending: list[tuple[Statement, Region]] = []
         if isinstance(stmt, TryStmt):
-            inner = _region_facts(stmt.body.statements, ctx)
-            for fact in inner.values():
-                if _first_match(fact.type, stmt.catches, ctx) is None:
-                    _add(facts, fact)
-            for clause in stmt.catches:
-                for fact in _region_facts(clause.body.statements, ctx).values():
-                    _add(facts, fact)
+            clauses = tuple((clause, _caught_ids(model, clause, unit))
+                            for clause in stmt.catches)
+            inner = TryRegion(clauses, frozenset(
+                tid for _clause, ids in clauses for tid in ids), Region())
+            region.tries.append(inner)
+            summary.tries[stmt.id] = inner
+            pending += [(child, inner.body) for child in stmt.body.statements]
+            handlers = [clause.body for clause in stmt.catches]
             if stmt.finally_block is not None:
-                for fact in _region_facts(stmt.finally_block.statements, ctx).values():
-                    _add(facts, fact)
-            continue
-        if isinstance(stmt, ThrowStmt) and isinstance(stmt.thrown, NewInstance):
-            tid = ctx.model.resolve_exception_name(stmt.thrown.type_name, ctx.unit)
-            if tid is None:
-                ctx.model.diagnostics.append(
-                    f"{stmt.position}: thrown type {stmt.thrown.type_name} "
-                    f"is not a known exception")
-            else:
-                _add(facts, PossibleException(
-                    tid, LexicalThrowOrigin(stmt.position),
-                    frozenset({EvidenceKind.THROW_STATEMENT}),
-                    frozenset(), frozenset()))
-        for expr in statement_expressions(stmt):
-            for node in iter_expressions(expr):
-                if isinstance(node, (Invocation, NewInstance)):
-                    _add_call_facts(facts, node, ctx)
-            for block in nested_blocks(expr):
-                for fact in _region_facts(block.statements, ctx).values():
-                    _add(facts, fact)
-        for child in statement_children(stmt):
-            for fact in _region_facts([child], ctx).values():
-                _add(facts, fact)
+                handlers.append(stmt.finally_block)
+            pending += [(child, region) for block in handlers
+                        for child in block.statements]
+        else:
+            if isinstance(stmt, ThrowStmt) and isinstance(stmt.thrown, NewInstance):
+                tid = model.resolve_exception_name(stmt.thrown.type_name, unit)
+                if tid is None:
+                    model.diagnostics.append(
+                        f"{stmt.position}: thrown type {stmt.thrown.type_name} "
+                        f"is not a known exception")
+                else:
+                    region.throws.append(PossibleException(
+                        tid, LexicalThrowOrigin(stmt.position), _THROWN,
+                        frozenset(), frozenset()))
+            for expr in statement_expressions(stmt):
+                for node in iter_expressions(expr):
+                    if isinstance(node, (Invocation, NewInstance)):
+                        callee = model.resolve_invocation(node)
+                        if not isinstance(callee, Unresolved):
+                            region.calls.append(CallSiteOrigin(node.position, callee))
+                            summary.callees.add(callee)
+                    if isinstance(node, Lambda) and isinstance(node.body, Block):
+                        pending += [(child, region) for child in node.body.statements]
+                    elif isinstance(node, NewInstance) and node.anonymous_body is not None:
+                        pending += [(child, region)
+                                    for child in node.anonymous_body.statements]
+            pending += [(child, region) for child in statement_children(stmt)]
+        stack.extend(reversed(pending))
+    return summary
+
+
+def _caught_ids(model: SemanticModel, clause: CatchClause,
+                unit: CompilationUnit) -> tuple[str, ...]:
+    resolved = (model.resolve_type_name(name, unit) for name in clause.caught_types)
+    return tuple(tid for tid in resolved if tid in model.types)
+
+
+def _evaluate_method(method: CorpusMethod,
+                     sets: dict[MethodId, MethodExceptionSet],
+                     model: SemanticModel) -> dict[str, MethodFact]:
+    """One application of the fixed-point equation to one method."""
+    summary = method_summary(model, method)
+    facts = dict(summary.own)
+    for fact in _reaching(summary.body, sets, model.ancestors).values():
+        if isinstance(fact.origin, CallSiteOrigin):
+            sources = fact.source_methods
+        else:
+            sources = frozenset({method.id})
+        _merge_method_fact(facts, fact.type, fact.evidence, sources)
     return facts
 
 
-def _add_call_facts(facts: dict, node: Union[Invocation, NewInstance],
-                    ctx: _Context) -> None:
-    resolved = ctx.model.resolve_invocation(node)
-    if isinstance(resolved, Unresolved):
-        return
-    callee_set = ctx.sets.get(resolved)
-    if callee_set is None:
-        return
-    origin = CallSiteOrigin(node.position, resolved)
-    for tid, fact in callee_set.facts.items():
-        _add(facts, PossibleException(tid, origin, fact.evidence,
-                                      frozenset({resolved}), fact.sources))
+def _reaching(region: Region, sets: dict[MethodId, MethodExceptionSet],
+              ancestors: dict[str, frozenset[str]]) -> dict[tuple, PossibleException]:
+    """Facts reaching a region: its own throws and its callees' facts, and
+    those of each nested try's body that no try in between catches."""
+    facts: dict[tuple, PossibleException] = {}
+    stack: list[tuple[Region, frozenset[str]]] = [(region, frozenset())]
+    while stack:
+        region, caught = stack.pop()
+        for fact in region.throws:
+            if ancestors[fact.type].isdisjoint(caught):
+                _add(facts, fact)
+        for origin in region.calls:
+            via = frozenset({origin.callee})
+            for tid, callee_fact in sets[origin.callee].facts.items():
+                if ancestors[tid].isdisjoint(caught):
+                    _add(facts, PossibleException(tid, origin, callee_fact.evidence,
+                                                  via, callee_fact.sources))
+        for inner in region.tries:
+            stack.append((inner.body, caught | inner.caught))
+    return facts
 
 
 def _add(facts: dict, fact: PossibleException) -> None:
@@ -295,16 +361,15 @@ def _merge_method_fact(facts: dict[str, MethodFact], tid: str,
                                 existing.sources | sources)
 
 
-def _first_match(fact_type: str, catches: list[CatchClause],
-                 ctx: _Context) -> Optional[tuple[CatchClause, str]]:
-    """First clause (and first caught alternative) that handles the type."""
-    for clause in catches:
-        for name in clause.caught_types:
-            caught = ctx.model.resolve_type_name(name, ctx.unit)
-            if caught is None or caught not in ctx.model.types:
-                continue
-            if ctx.model.is_subtype(fact_type, caught):
-                return clause, caught
+def _first_match(above: frozenset[str],
+                 clauses: tuple[tuple[CatchClause, tuple[str, ...]], ...]
+                 ) -> Optional[tuple[CatchClause, str]]:
+    """First clause (and first caught alternative) among the ancestors of
+    the thrown type."""
+    for clause, caught in clauses:
+        for tid in caught:
+            if tid in above:
+                return clause, tid
     return None
 
 

@@ -19,7 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .syntax.ast import (
     Block, Cast, CompilationUnit, Expr, FieldAccess, Invocation, Lambda,
@@ -30,6 +30,9 @@ from .syntax.walk import (
     statement_children, statement_expressions, sub_expressions,
     try_statements_in,
 )
+
+if TYPE_CHECKING:
+    from .flow import MethodSummary
 
 MethodId = tuple[str, str, int]  # (owner type, method name, arity)
 
@@ -235,6 +238,9 @@ class CorpusMethod:
     decl: MethodDecl
     owner: TypeDecl
     unit: CompilationUnit
+    # lowered on first use by flow.method_summary
+    summary: Optional["MethodSummary"] = field(default=None, repr=False,
+                                               compare=False)
 
 
 @dataclass
@@ -257,12 +263,14 @@ class SemanticModel:
         self.types: dict[str, TypeEntry] = {}
         self.method_table: dict[MethodId, Union[CorpusMethod, ExternalMethod]] = {}
         self.exception_universe: frozenset[str] = frozenset()
+        # reflexive ancestor set and platform kind of every type
+        self.ancestors: dict[str, frozenset[str]] = {}
+        self._kinds: dict[str, Optional[str]] = {}
         self.diagnostics: list[str] = []
         self.unresolved_count = 0
         self._ambiguous: set[MethodId] = set()
         self._resolution: dict[int, Union[MethodId, Unresolved]] = {}
         self._method_owners: set[str] = set()
-        self._kind_cache: dict[str, Optional[str]] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -295,34 +303,11 @@ class SemanticModel:
         for tid in (a, b):
             if tid not in self.types:
                 raise ModelError(f"unknown type {tid}")
-        cur: Optional[str] = a
-        seen = set()
-        while cur is not None and cur not in seen:
-            if cur == b:
-                return True
-            seen.add(cur)
-            entry = self.types.get(cur)
-            cur = entry.superclass if entry else None
-        return False
+        return b in self.ancestors[a]
 
     def kind_of(self, tid: str) -> Optional[str]:
         """checked/unchecked/error via the nearest platform ancestor."""
-        if tid in self._kind_cache:
-            return self._kind_cache[tid]
-        kind: Optional[str] = None
-        cur: Optional[str] = tid
-        seen = set()
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            entry = self.types.get(cur)
-            if entry is None:
-                break
-            if entry.platform is not None:
-                kind = entry.platform.kind
-                break
-            cur = entry.superclass
-        self._kind_cache[tid] = kind
-        return kind
+        return self._kinds.get(tid)
 
     def recoverability_of(self, tid: str) -> Recoverability:
         if tid not in self.exception_universe:
@@ -421,6 +406,7 @@ def build_semantic_model(units: list[CompilationUnit],
                 f"{ptype.superclass}")
 
     _check_acyclic(model)
+    _index_hierarchy(model)
 
     # method table: corpus declarations first, then external platform entries
     for unit in units:
@@ -488,6 +474,27 @@ def _check_acyclic(model: SemanticModel) -> None:
             entry = model.types.get(cur)
             cur = entry.superclass if entry else None
         settled.update(path)
+
+
+def _index_hierarchy(model: SemanticModel) -> None:
+    """Fill model.ancestors and the kinds, walking each superclass chain
+    only up to the first type already indexed. The hierarchy is acyclic;
+    a superclass outside model.types ends the chain."""
+    for start in model.types:
+        chain: list[str] = []
+        cur: Optional[str] = start
+        while cur in model.types and cur not in model.ancestors:
+            chain.append(cur)
+            cur = model.types[cur].superclass
+        above = model.ancestors.get(cur, frozenset())
+        kind = model._kinds.get(cur)
+        for tid in reversed(chain):
+            platform = model.types[tid].platform
+            if platform is not None:
+                kind = platform.kind
+            above = above | {tid}
+            model.ancestors[tid] = above
+            model._kinds[tid] = kind
 
 
 # ---------------------------------------------------------------------------

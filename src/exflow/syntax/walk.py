@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .ast import (
-    ArrayAccess, Assignment, Binary, Block, BreakStmt, Cast, CatchClause,
+    ArrayAccess, Assignment, Binary, Block, BreakStmt, Cast,
     Conditional, ContinueStmt, Expr, ExprStmt, FieldAccess, IfStmt,
     InstanceOf, Invocation, Lambda, Literal, LocalDecl, LoopStmt, MethodRef,
     Name, NewArray, NewInstance, OpaqueThrow, ReturnStmt, Statement,
@@ -136,9 +136,3 @@ def try_statements_in(statements: list[Statement]) -> Iterator[TryStmt]:
     for stmt in iter_statements(statements):
         if isinstance(stmt, TryStmt):
             yield stmt
-
-
-def catch_clauses_in(statements: list[Statement]) -> Iterator[CatchClause]:
-    for stmt in iter_statements(statements):
-        if isinstance(stmt, TryStmt):
-            yield from stmt.catches

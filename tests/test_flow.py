@@ -1,8 +1,16 @@
 """Fixed-point exception sets and per-try partitioning."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from exflow import flow
 from exflow.classify import Strategy
+from exflow.driver import analyze_project
 from exflow.flow import (
     CallSiteOrigin,
     EvidenceKind,
@@ -410,3 +418,123 @@ def test_lambda_body_counts_toward_enclosing_region():
         "  void f() { Runnable r = () -> { throw new RuntimeException(); }; }\n"
         "}\n")
     assert set(facts_of(sets, "f")) == {RTE}
+
+
+# -- worklist fixed point ----------------------------------------------------
+
+def count_evaluations(monkeypatch):
+    """Record the id of every method the fixed point evaluates, in order."""
+    seen = []
+    evaluate = flow._evaluate_method
+
+    def counting(method, sets, model):
+        seen.append(method.id)
+        return evaluate(method, sets, model)
+
+    monkeypatch.setattr(flow, "_evaluate_method", counting)
+    return seen
+
+
+def test_call_ring_takes_linear_work(monkeypatch):
+    # m000 -> m001 -> ... -> m799 -> m000; names sort in call order, so
+    # facts travel against the evaluation order, one hop per round-robin
+    # pass, which took n * (n + 1) evaluations
+    n = 800
+    last = f"m{n - 1:03d}"
+    body = "".join(
+        f"  void m{i:03d}() {{ try {{ m{i + 1:03d}(); }} "
+        f"catch (IllegalStateException e) {{}} }}\n" for i in range(n - 1))
+    body += (f"  void {last}() {{ try {{ m000(); throw new IOException(); }} "
+             f"catch (IllegalStateException e) {{}} }}\n")
+    evaluations = count_evaluations(monkeypatch)
+    model, sets = build("class A {\n" + body + "}\n")
+    assert len(evaluations) <= 2 * n + 1
+    for i in range(n):
+        facts = facts_of(sets, f"m{i:03d}")
+        assert set(facts) == {IOE}
+        assert facts[IOE].sources == {mid(last)}
+        assert facts[IOE].evidence == {TS}
+    assert len(model.try_blocks()) == n
+
+
+def test_deep_try_nest_partition():
+    # try k (k = 0 outermost) calls h() on its own line and wraps try k + 1;
+    # every 50th try catches RuntimeException, the others a name that
+    # matches nothing; the innermost try throws IOException
+    depth = 200
+    first_line = 6  # after package, import, class, h() and f()
+    lines = ["class A {", "  void h() { throw new RuntimeException(); }",
+             "  void f() {"]
+    lines += ["    try { h();"] * depth
+    lines.append("    throw new IOException();")
+    for k in reversed(range(depth)):
+        caught = "RuntimeException" if k % 50 == 0 else "Mystery"
+        lines.append(f"    }} catch ({caught} e) {{}}")
+    lines += ["  }", "}", ""]
+    model, sets = build("\n".join(lines))
+    throw_line = first_line + depth
+    entries = sorted(model.try_blocks(), key=lambda p: p[1].position.line)
+    assert len(entries) == depth
+    for k, (method, stmt) in enumerate(entries):
+        assert stmt.position.line == first_line + k
+        analysis = analyze_try_block(stmt, sets, model, method)
+        got = {(f.type, f.origin.position.line, type(f.origin).__name__)
+               for f in analysis.possible}
+        # a call at level j reaches try k unless a try in (k, j] catches it
+        stop = next((m for m in range(k + 1, depth) if m % 50 == 0), depth)
+        calls = {(RTE, first_line + j, "CallSiteOrigin")
+                 for j in range(k, stop)}
+        want = calls | {(IOE, throw_line, "LexicalThrowOrigin")}
+        assert got == want, f"try {k}"
+        propagated = {(f.type, f.origin.position.line, type(f.origin).__name__)
+                      for f in analysis.propagated}
+        assert propagated == (want - calls if k % 50 == 0 else want), \
+            f"try {k}"
+
+
+_EVALUATION_ORDER = """
+import json
+from _corpus import build_corpus_model, generate_corpus
+from exflow import flow
+order = []
+evaluate = flow._evaluate_method
+def counting(method, sets, model):
+    order.append(list(method.id))
+    return evaluate(method, sets, model)
+flow._evaluate_method = counting
+for seed in range(5):
+    build_corpus_model(generate_corpus(seed, cyclic=True, max_methods=40))
+print(json.dumps(order))
+"""
+
+
+def test_evaluation_order_does_not_depend_on_hashing():
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    orders = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", _EVALUATION_ORDER],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        orders.append(json.loads(done.stdout))
+    assert orders[0] == orders[1]
+    assert len(orders[0]) > len(set(map(tuple, orders[0])))  # re-evaluations
+
+
+def test_unknown_thrown_type_is_diagnosed_once(tmp_path):
+    (tmp_path / "A.java").write_text(
+        "package app;\n"
+        "class A {\n"
+        "  void f() { g(); }\n"
+        "  void g() { h(); }\n"
+        "  void h() {\n"
+        "    try {\n"
+        "      try { f(); throw new Bogus(); } catch (RuntimeException e) {}\n"
+        "    } catch (Exception e) {}\n"
+        "  }\n"
+        "}\n")
+    result = analyze_project(tmp_path, flow_platform())
+    compute_method_exception_sets(result.model)  # summaries are reused
+    complaint = "thrown type Bogus is not a known exception"
+    assert sum(complaint in d for d in result.model.diagnostics) == 1

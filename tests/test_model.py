@@ -287,6 +287,30 @@ def test_is_subtype():
         model.is_subtype("app.AppError", "nope.Missing")
 
 
+def test_ancestor_sets_follow_the_superclass_chain():
+    # Leaf is indexed before its superclass, a platform type extends a
+    # corpus type, and Orphan's superclass is unknown
+    model = model_from([
+        "package app;\n"
+        "class Leaf extends Mid {}\n"
+        "class Mid extends RuntimeException {}\n"
+        "class Orphan extends Nowhere {}\n"
+    ], platform(extra_types=[
+        {"name": "x.Outer", "superclass": "app.Mid", "kind": "checked"}]))
+    rte = "java.lang.RuntimeException"
+    chain = {"app.Leaf", "app.Mid", rte, "java.lang.Exception",
+             "java.lang.Throwable"}
+    assert model.ancestors["app.Leaf"] == chain
+    assert model.ancestors["x.Outer"] == (chain - {"app.Leaf"}) | {"x.Outer"}
+    assert model.ancestors["app.Orphan"] == {"app.Orphan"}
+    assert model.kind_of("app.Leaf") == "unchecked"
+    assert model.kind_of("x.Outer") == "checked"
+    assert model.kind_of("app.Orphan") is None
+    assert model.kind_of("nope.Missing") is None
+    assert model.is_subtype("x.Outer", "app.Mid")
+    assert not model.is_subtype("app.Mid", "x.Outer")
+
+
 def test_recoverability_defaults_and_override():
     override = {"name": "x.Fragile", "superclass": "java.lang.RuntimeException",
                 "kind": "unchecked", "recoverable": True}
