@@ -94,16 +94,18 @@ def classify_actions(clause: CatchClause, config: Optional[Config] = None,
 
     if not statements:
         actions.add(Action.EMPTY)
-    if _mentions_todo(clause.body):
-        actions.add(Action.TODO)
 
     default_call = _default_invocation(statements, clause.variable)
     if default_call is not None:
         actions.add(Action.DEFAULT)
 
     abort_sigs = [_split_signature(s) for s in sorted(cfg.abort_signatures)]
-    for stmt in _handler_statements(statements):
-        if isinstance(stmt, ContinueStmt):
+    walked, calls = _walk_handler(clause.body)
+    for stmt in walked:
+        if isinstance(stmt, Block):
+            if any(_is_todo(comment.text) for comment in stmt.comments):
+                actions.add(Action.TODO)
+        elif isinstance(stmt, ContinueStmt):
             actions.add(Action.CONTINUE)
         elif isinstance(stmt, ReturnStmt):
             actions.add(Action.RETURN)
@@ -111,14 +113,12 @@ def classify_actions(clause: CatchClause, config: Optional[Config] = None,
             actions.add(Action.NESTED_TRY)
         elif isinstance(stmt, ThrowStmt):
             actions.update(_throw_actions(stmt, clause.variable))
-    for call in _handler_invocations(statements):
+    for call in calls:
         if _is_abort(call, abort_sigs, cfg, model):
             actions.add(Action.ABORT)
         elif _is_log(call, cfg):
             actions.add(Action.LOG)
-        elif call is default_call:
-            pass
-        else:
+        elif call is not default_call:
             actions.add(Action.METHOD)
     return frozenset(actions)
 
@@ -150,48 +150,31 @@ def _default_invocation(statements: list[Statement],
     return None
 
 
-def _handler_statements(statements: list[Statement]):
-    """Every statement in the handler, nested regions included."""
-    for stmt in statements:
-        yield stmt
-        yield from _handler_statements(list(statement_children(stmt)))
-        for expr in _statement_owned_expressions(stmt):
-            for block in nested_blocks(expr):
-                yield block
-                yield from _handler_statements(block.statements)
-
-
-def _handler_invocations(statements: list[Statement]):
-    """Invocations in the handler, excluding any inside a throw expression."""
-    for stmt in _handler_statements(statements):
+def _walk_handler(body: Block) -> tuple[list[Statement], list[Invocation]]:
+    """Every statement in the handler body (the body itself and nested
+    regions included) and every invocation, in one walk. Nothing inside a
+    throw expression counts: neither its invocations nor its lambda and
+    anonymous-class bodies."""
+    found: list[Statement] = []
+    calls: list[Invocation] = []
+    stack: list[Statement] = [body]
+    while stack:
+        stmt = stack.pop()
+        found.append(stmt)
+        stack.extend(statement_children(stmt))
         if isinstance(stmt, ThrowStmt):
             continue
-        for expr in _statement_owned_expressions(stmt):
+        for expr in statement_expressions(stmt):
             for node in iter_expressions(expr):
                 if isinstance(node, Invocation):
-                    yield node
+                    calls.append(node)
+            stack.extend(nested_blocks(expr))
+    return found, calls
 
 
-def _statement_owned_expressions(stmt: Statement):
-    if isinstance(stmt, ThrowStmt):
-        return
-    yield from statement_expressions(stmt)
-
-
-def _mentions_todo(block: Block) -> bool:
-    for inner in _blocks_under(block):
-        for comment in inner.comments:
-            lowered = comment.text.lower()
-            if "todo" in lowered or "fixme" in lowered:
-                return True
-    return False
-
-
-def _blocks_under(block: Block):
-    yield block
-    for stmt in _handler_statements(block.statements):
-        if isinstance(stmt, Block):
-            yield stmt
+def _is_todo(text: str) -> bool:
+    lowered = text.lower()
+    return "todo" in lowered or "fixme" in lowered
 
 
 def _split_signature(signature: str) -> tuple[str, str, str, int]:

@@ -104,7 +104,11 @@ class TryBlockAnalysis:
     possible: frozenset[PossibleException]
     handled: dict[PossibleException, tuple[CatchClause, str, Strategy]]
     propagated: frozenset[PossibleException]
-    distinct_method_count: dict[str, int]
+
+    @property
+    def distinct_method_count(self) -> dict[str, int]:
+        """Per exception type, the directly invoked methods contributing it."""
+        return {tid: n for tid, (n, _) in attribute_sources(self).items()}
 
 
 @dataclass
@@ -198,12 +202,8 @@ def analyze_try_block(t: TryStmt, sets: dict[MethodId, MethodExceptionSet],
             clause, matched_type = match
             handled[fact] = (clause, matched_type,
                              classify_strategy(fact.type, matched_type, model))
-    counts: dict[str, set[MethodId]] = {}
-    for fact in possible:
-        counts.setdefault(fact.type, set()).update(fact.origin_methods)
-    distinct = {tid: len(methods) for tid, methods in counts.items()}
     return TryBlockAnalysis(t.id, t.position, possible, handled,
-                            frozenset(propagated), distinct)
+                            frozenset(propagated))
 
 
 def attribute_sources(analysis: TryBlockAnalysis, *, transitive: bool = False

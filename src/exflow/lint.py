@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import partition_recoverability
 from .config import Config
-from .model import Recoverability, SemanticModel
+from .model import SemanticModel
 from .report import TryBundle
 from .syntax.ast import SourcePosition
 
@@ -39,14 +40,12 @@ def lint(bundles: list[TryBundle], config: Config,
     findings: list[LintFinding] = []
     for bundle in bundles:
         analysis = bundle.analysis
-        propagated_types = sorted({f.type for f in analysis.propagated})
-        for tid in propagated_types:
-            if (model.recoverability_of(tid)
-                    is Recoverability.POTENTIALLY_RECOVERABLE):
-                findings.append(LintFinding(
-                    RULE_RECOVERABLE_PROPAGATED, analysis.position, tid,
-                    f"potentially recoverable {tid} propagates unhandled "
-                    f"from this try block"))
+        recoverable, _ = partition_recoverability(analysis.propagated, model)
+        for tid in sorted({f.type for f in recoverable}):
+            findings.append(LintFinding(
+                RULE_RECOVERABLE_PROPAGATED, analysis.position, tid,
+                f"potentially recoverable {tid} propagates unhandled "
+                f"from this try block"))
         for clause in bundle.stmt.catches:
             for name in clause.caught_types:
                 caught = model.resolve_type_name(name, bundle.unit)

@@ -1,4 +1,5 @@
-"""Semantic model: type hierarchy, method table, and call-site resolution.
+"""Semantic model: type hierarchy, method table, call resolution and the
+try index.
 
 External dependencies are described by declarative platform-model files
 rather than compiled binaries. A platform model contributes exception
@@ -10,6 +11,8 @@ Call sites resolve against the receiver's declared type only, by method
 name and arity, walking up the superclass chain. Receivers whose type
 cannot be established statically stay Unresolved and contribute nothing,
 which keeps the analysis an under-estimate rather than an over-estimate.
+The same pass over each method body indexes its try statements and
+diagnoses caught names that are not known exceptions.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .syntax.ast import (
 )
 from .syntax.walk import (
     statement_children, statement_expressions, sub_expressions,
-    try_statements_in,
 )
 
 if TYPE_CHECKING:
@@ -270,6 +272,7 @@ class SemanticModel:
         self.unresolved_count = 0
         self._ambiguous: set[MethodId] = set()
         self._resolution: dict[int, Union[MethodId, Unresolved]] = {}
+        self._tries: list[tuple[CorpusMethod, TryStmt]] = []
         self._method_owners: set[str] = set()
 
     # -- queries ----------------------------------------------------------
@@ -281,17 +284,8 @@ class SemanticModel:
         return methods
 
     def try_blocks(self) -> list[tuple[CorpusMethod, TryStmt]]:
-        """Every try statement with its enclosing method, in a stable order."""
-        entries = []
-        for method in self.corpus_methods():
-            if method.decl.body is None:
-                continue
-            for t in try_statements_in(method.decl.body.statements):
-                entries.append((method, t))
-        entries.sort(key=lambda pair: (pair[1].position.file,
-                                       pair[1].position.line,
-                                       pair[1].position.column))
-        return entries
+        """Every try statement with its enclosing method, in position order."""
+        return list(self._tries)
 
     def resolve_invocation(self, call: Union[Invocation, NewInstance]) -> Union[MethodId, Unresolved]:
         """Resolution computed during model build, under the declared-type
@@ -445,16 +439,9 @@ def build_semantic_model(units: list[CompilationUnit],
     for method in model.corpus_methods():
         if method.decl.body is not None:
             _Resolver(model, method).run()
-
-    # caught types are resolved again during flow analysis; warn once here
-    for method, stmt in model.try_blocks():
-        for clause in stmt.catches:
-            for name in clause.caught_types:
-                caught = model.resolve_type_name(name, method.unit)
-                if caught is None or caught not in model.exception_universe:
-                    model.diagnostics.append(
-                        f"{clause.position}: caught type {name} is not a "
-                        f"known exception; the clause matches nothing")
+    model._tries.sort(key=lambda pair: (pair[1].position.file,
+                                        pair[1].position.line,
+                                        pair[1].position.column))
     return model
 
 
@@ -521,8 +508,9 @@ class _Scope:
 
 
 class _Resolver:
-    """One pass over a method body, tracking declared variable types and
-    recording a resolution for every invocation and instantiation."""
+    """One pass over a method body, tracking declared variable types,
+    recording a resolution for every invocation and instantiation, and
+    indexing every try statement."""
 
     def __init__(self, model: SemanticModel, method: CorpusMethod):
         self.model = model
@@ -564,8 +552,14 @@ class _Resolver:
             self._statement(stmt.body, _Scope(inner))
             return
         if isinstance(stmt, TryStmt):
+            self.model._tries.append((self.method, stmt))
             self._statements(stmt.body.statements, _Scope(scope))
             for clause in stmt.catches:
+                for name in clause.caught_types:
+                    if self.model.resolve_exception_name(name, self.unit) is None:
+                        self.model.diagnostics.append(
+                            f"{clause.position}: caught type {name} is not a "
+                            f"known exception; the clause matches nothing")
                 catch_scope = _Scope(scope)
                 catch_scope.declare(clause.variable, clause.caught_types[0])
                 self._statements(clause.body.statements, catch_scope)

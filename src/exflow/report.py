@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .classify import HandlerClassification, Strategy
+from .classify import HandlerClassification, Strategy, partition_recoverability
 from .flow import EvidenceKind, TryBlockAnalysis, attribute_sources
-from .model import SemanticModel, Recoverability, method_id_str
+from .model import SemanticModel, method_id_str
 from .syntax.ast import CompilationUnit, TryStmt
 
 DIVERSITY_BUCKETS = ("1", "2", "3", "4", "5", ">5")
@@ -111,9 +111,8 @@ def aggregate_project(bundles: list[TryBundle], model: SemanticModel,
         analysis = bundle.analysis
         possible_types = {f.type for f in analysis.possible}
         propagated_types = {f.type for f in analysis.propagated}
-        recoverable_types = {
-            t for t in propagated_types
-            if model.recoverability_of(t) is Recoverability.POTENTIALLY_RECOVERABLE}
+        recoverable, _ = partition_recoverability(analysis.propagated, model)
+        recoverable_types = {f.type for f in recoverable}
         strategy_by_type: dict[str, str] = {t: PROPAGATED_LABEL
                                             for t in propagated_types}
         for fact, (_clause, _matched, strategy) in analysis.handled.items():

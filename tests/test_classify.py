@@ -186,6 +186,15 @@ def test_calls_inside_throw_do_not_count_as_method():
         {Action.THROW_NEW}
 
 
+
+def test_anonymous_body_inside_throw_does_not_count():
+    assert actions_of(
+        "throw new RuntimeException(new Object() {\n"
+        "  void h() { /* TODO */ recover(); return; }\n"
+        "}.toString());",
+        extra="void recover() {}") == {Action.THROW_NEW}
+
+
 def test_todo_found_in_nested_block():
     actions = actions_of("if (flag) { /* todo: retry */ }")
     assert Action.TODO in actions

@@ -16,10 +16,13 @@ from exflow.model import (
     parse_signature,
     validate_platform_closure,
 )
-from exflow.syntax import parse_compilation_unit
+from _corpus import generate_corpus, render_app
+from exflow.driver import analyze_project
+from exflow.syntax import parse_compilation_unit, walk
 from exflow.syntax.ast import Invocation, NewInstance
 from exflow.syntax.walk import (
     iter_expressions, iter_statements, statement_expressions,
+    try_statements_in,
 )
 
 
@@ -513,3 +516,78 @@ def test_try_blocks_listed_in_position_order():
     assert [m.id[1] for m, _ in entries] == ["f", "g"]
     lines = [t.position.line for _, t in entries]
     assert lines == sorted(lines)
+
+
+# -- the try index -----------------------------------------------------------
+
+NESTED_TRIES = (
+    "package app;\n"
+    "class A {\n"
+    "  void g() {}\n"
+    "  void f() {\n"
+    "    try { g(); } catch (Exception e) {\n"
+    "      try { g(); } catch (RuntimeException x) {}\n"
+    "    } finally {\n"
+    "      try { g(); } catch (Exception e) {}\n"
+    "    }\n"
+    "    Runnable r = () -> { try { g(); } catch (Exception e) {} };\n"
+    "    Object o = new Object() {\n"
+    "      void h() { try { g(); } catch (Exception e) {} }\n"
+    "    };\n"
+    "    for (int i = 0; i < 2; i++) { try { g(); } catch (Exception e) {} }\n"
+    "  }\n"
+    "}\n")
+
+
+def walked_tries(model):
+    """The try index rebuilt by walking every corpus method body."""
+    pairs = [(method, t) for method in model.corpus_methods()
+             if method.decl.body is not None
+             for t in try_statements_in(method.decl.body.statements)]
+    pairs.sort(key=lambda pair: (pair[1].position.file, pair[1].position.line,
+                                 pair[1].position.column))
+    return [(method.id, id(t)) for method, t in pairs]
+
+
+def indexed_tries(model):
+    return [(method.id, id(t)) for method, t in model.try_blocks()]
+
+
+def test_try_index_matches_a_walk_of_every_body():
+    model = model_from([NESTED_TRIES], platform())
+    assert len(model.try_blocks()) == 6
+    assert indexed_tries(model) == walked_tries(model)
+    for seed in range(60):
+        for cyclic in (False, True):
+            units = [parse_compilation_unit(
+                render_app(generate_corpus(seed, cyclic=cyclic)),
+                "gen/App.java")]
+            model = build_semantic_model(units, platform())
+            assert indexed_tries(model) == walked_tries(model), f"seed {seed}"
+
+
+def test_analysis_walks_no_body_through_iter_statements(monkeypatch, fig1_dir,
+                                                        jre_mini):
+    def refuse(statements):
+        raise AssertionError("iter_statements called")
+
+    monkeypatch.setattr(walk, "iter_statements", refuse)
+    result = analyze_project(fig1_dir, jre_mini)
+    assert result.report.totals.try_blocks == 1
+
+
+def test_unknown_caught_name_in_nested_tries_diagnosed_once(tmp_path):
+    (tmp_path / "A.java").write_text(
+        "package app;\n"
+        "class A {\n"
+        "  void g() {}\n"
+        "  void f() {\n"
+        "    try {\n"
+        "      try { g(); } catch (Bogus e) {}\n"
+        "    } catch (Exception e) {}\n"
+        "  }\n"
+        "}\n")
+    result = analyze_project(tmp_path, platform())
+    complaint = ("A.java:6:20: caught type Bogus is not a known exception; "
+                 "the clause matches nothing")
+    assert sum(d.endswith(complaint) for d in result.diagnostics) == 1
