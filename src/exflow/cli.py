@@ -10,7 +10,9 @@ from every *.json under the directories in EXFLOW_PLATFORM_PATH.
 
 Exit codes: 0 clean, 1 lint findings under --fail-on, 2 usage or
 configuration error, 3 parse or model error (parse errors only under
---strict; otherwise the file is skipped with a diagnostic).
+--strict; otherwise the file is skipped with a diagnostic). A file that is
+not UTF-8, or that nests too deeply for the parser, counts as a parse
+error.
 """
 
 from __future__ import annotations

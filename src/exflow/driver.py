@@ -14,7 +14,7 @@ from .flow import (
 )
 from .model import MethodId, PlatformModel, SemanticModel, build_semantic_model
 from .report import ProjectReport, TryBundle, aggregate_project
-from .syntax import ParseError, parse_compilation_unit
+from .syntax import CompilationUnit, ParseError, parse_compilation_unit
 
 
 @dataclass
@@ -31,6 +31,7 @@ def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,
                     name: Optional[str] = None,
                     strict: bool = False) -> AnalysisResult:
     """Analyze every .java file under project_dir. Files that fail to parse
+    (including ones that are not UTF-8 or nest too deeply for the parser)
     are skipped with a diagnostic unless strict, which re-raises."""
     config = config or Config()
     root = Path(project_dir)
@@ -38,7 +39,7 @@ def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,
     units = []
     for path in sorted(root.rglob("*.java")):
         try:
-            units.append(parse_compilation_unit(path.read_text(), str(path)))
+            units.append(_parse_file(path))
         except ParseError as exc:
             if strict:
                 raise
@@ -62,3 +63,19 @@ def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,
                                transitive=config.transitive_origins)
     diagnostics.extend(model.diagnostics)
     return AnalysisResult(model, sets, bundles, report, diagnostics)
+
+
+def _parse_file(path: Path) -> CompilationUnit:
+    """Parse one source file. A file that is not UTF-8, or that nests
+    deeper than the recursive-descent parser can follow, raises ParseError
+    like a syntax error does."""
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start}") from None
+    try:
+        return parse_compilation_unit(source, str(path))
+    except RecursionError:
+        raise ParseError(f"{path}: nesting too deep") from None

@@ -1,5 +1,11 @@
 """Tokenizer for the supported Java subset.
 
+One compiled master regex does the scanning: each token class is a named
+group, and ``finditer`` walks the source match by match. Maximal munch
+comes from the order of the alternatives (floats before ints, longer
+punctuators before their prefixes); a last one-character group catches
+what no class matches. Line and column are worked out from offsets.
+
 Comments never enter the token stream; they are collected on the side with
 their positions and character offsets so the parser can attach doc comments
 to declarations and ordinary comments to their nearest enclosing block.
@@ -7,6 +13,7 @@ to declarations and ordinary comments to their nearest enclosing block.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ast import Comment, SourcePosition
@@ -33,7 +40,6 @@ MODIFIERS = frozenset({
     "default",
 })
 
-# longest-first so maximal munch falls out of a linear scan
 _PUNCT = [
     ">>>=", "<<=", ">>=", ">>>", "...", "<<", ">>", "->", "::", "++", "--",
     "&&", "||", "<=", ">=", "==", "!=", "+=", "-=", "*=", "/=", "%=", "&=",
@@ -41,6 +47,30 @@ _PUNCT = [
     "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^", "?",
     ":", ";", ",", ".", "(", ")", "{", "}", "[", "]", "@",
 ]
+
+_DIGITS = r"\d[\d_]*"
+_EXPONENT = r"[eE][+-]?\d+"
+# Alternatives are tried in order and the first that matches wins, so each
+# class comes before any class that matches a prefix of its tokens.
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("ws", r"[ \t\r\n\f]+"),
+    ("comment", r"//[^\n]*|/\*.*?\*/"),
+    ("unclosed", r"/\*"),
+    ("ident", r"(?:[^\W\d]|\$)[\w$]*"),
+    ("float", rf"(?:{_DIGITS})?\.{_DIGITS}(?:{_EXPONENT})?[lLfFdD]?"
+              rf"|{_DIGITS}(?:{_EXPONENT}[lLfFdD]?|[fFdD])"),
+    ("int", rf"0[xXbB]\w*|{_DIGITS}[lL]?"),
+    ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
+    ("char", r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"),
+    ("punct", "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))),
+    ("bad", r"."),
+)), re.DOTALL)
+
+_UNTERMINATED = {
+    "/*": "unterminated block comment",
+    '"': "unterminated string literal",
+    "'": "unterminated character literal",
+}
 
 
 @dataclass(frozen=True)
@@ -76,165 +106,42 @@ def tokenize(source: str, file: str) -> LexedSource:
     comment_spans: list[tuple[int, int]] = []
     comments_before: list[list[int]] = []
     pending: list[int] = []
-
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
+    line_start = 0  # offset of the first character of the current line
 
-    def advance(text: str) -> None:
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    def err(msg: str, at_line: int, at_col: int) -> ParseError:
-        return ParseError(msg, SourcePosition(file, at_line, at_col))
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n\f":
-            advance(ch)
-            i += 1
-            continue
-
-        if ch == "/" and i + 1 < n:
-            nxt = source[i + 1]
-            if nxt == "/":
-                j = source.find("\n", i)
-                if j == -1:
-                    j = n
-                text = source[i:j]
-                comments.append(Comment(text, SourcePosition(file, line, col)))
-                comment_spans.append((i, j))
-                pending.append(len(comments) - 1)
-                advance(text)
-                i = j
-                continue
-            if nxt == "*":
-                j = source.find("*/", i + 2)
-                if j == -1:
-                    raise err("unterminated block comment", line, col)
-                text = source[i:j + 2]
-                is_doc = text.startswith("/**") and len(text) > 4
-                comments.append(Comment(text, SourcePosition(file, line, col), is_doc))
-                comment_spans.append((i, j + 2))
-                pending.append(len(comments) - 1)
-                advance(text)
-                i = j + 2
-                continue
-
-        start_line, start_col, start_off = line, col, i
-
-        if ch.isalpha() or ch in "_$":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            text = source[i:j]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start_line, start_col, start_off))
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        start = match.start()
+        column = start - line_start + 1
+        if kind == "comment":
+            is_doc = text.startswith("/**") and len(text) > 4
+            comments.append(
+                Comment(text, SourcePosition(file, line, column), is_doc))
+            comment_spans.append((start, match.end()))
+            pending.append(len(comments) - 1)
+        elif kind != "ws":
+            if kind == "ident":
+                if text in KEYWORDS:
+                    kind = "kw"
+                elif not (text[0].isalpha() or text[0] in "_$"):
+                    # a numeric character such as '½' is a word character
+                    # but cannot start an identifier
+                    kind = "bad"
+                    text = text[0]
+            if kind in ("unclosed", "bad"):
+                message = _UNTERMINATED.get(
+                    text, f"unexpected character {text!r}")
+                raise ParseError(message, SourcePosition(file, line, column))
+            tokens.append(Token(kind, text, line, column, start))
             comments_before.append(pending)
             pending = []
-            advance(text)
-            i = j
-            continue
+        # whitespace, a comment, or a string or char with a backslash-newline
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
 
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j, kind = _scan_number(source, i)
-            text = source[i:j]
-            tokens.append(Token(kind, text, start_line, start_col, start_off))
-            comments_before.append(pending)
-            pending = []
-            advance(text)
-            i = j
-            continue
-
-        if ch == '"':
-            j = _scan_quoted(source, i, '"')
-            if j == -1:
-                raise err("unterminated string literal", line, col)
-            text = source[i:j]
-            tokens.append(Token("string", text, start_line, start_col, start_off))
-            comments_before.append(pending)
-            pending = []
-            advance(text)
-            i = j
-            continue
-
-        if ch == "'":
-            j = _scan_quoted(source, i, "'")
-            if j == -1:
-                raise err("unterminated character literal", line, col)
-            text = source[i:j]
-            tokens.append(Token("char", text, start_line, start_col, start_off))
-            comments_before.append(pending)
-            pending = []
-            advance(text)
-            i = j
-            continue
-
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, start_line, start_col, start_off))
-                comments_before.append(pending)
-                pending = []
-                advance(p)
-                i += len(p)
-                break
-        else:
-            raise err(f"unexpected character {ch!r}", line, col)
-
-    tokens.append(Token("eof", "", line, col, n))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1,
+                        len(source)))
     comments_before.append(pending)
     return LexedSource(tokens, comments, comment_spans, comments_before, file)
-
-
-def _scan_number(source: str, i: int) -> tuple[int, str]:
-    n = len(source)
-    j = i
-    kind = "int"
-    if source.startswith(("0x", "0X", "0b", "0B"), i):
-        j = i + 2
-        while j < n and (source[j].isalnum() or source[j] == "_"):
-            j += 1
-        return j, "int"
-    while j < n and (source[j].isdigit() or source[j] == "_"):
-        j += 1
-    if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-        kind = "float"
-        j += 1
-        while j < n and (source[j].isdigit() or source[j] == "_"):
-            j += 1
-    if j < n and source[j] in "eE":
-        k = j + 1
-        if k < n and source[k] in "+-":
-            k += 1
-        if k < n and source[k].isdigit():
-            kind = "float"
-            j = k
-            while j < n and source[j].isdigit():
-                j += 1
-    if j < n and source[j] in "lLfFdD":
-        if source[j] in "fFdD":
-            kind = "float"
-        j += 1
-    return j, kind
-
-
-def _scan_quoted(source: str, i: int, quote: str) -> int:
-    n = len(source)
-    j = i + 1
-    while j < n:
-        ch = source[j]
-        if ch == "\\":
-            j += 2
-            continue
-        if ch == quote:
-            return j + 1
-        if ch == "\n":
-            return -1
-        j += 1
-    return -1

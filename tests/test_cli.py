@@ -155,6 +155,31 @@ def test_strict_promotes_parse_errors(capsys, tmp_path, jre_mini_path):
     assert "error:" in err
 
 
+NESTED = ("class Deep { int f() { return " + "(" * 80 + "1" + ")" * 80
+          + "; } }\n").encode()
+
+
+@pytest.mark.parametrize("name, content, reason", [
+    ("Latin.java", b'class L { String s = "caf\xe9"; }\n',
+     "not valid UTF-8: byte 0xe9 at offset 25"),
+    ("Deep.java", NESTED, "nesting too deep"),
+], ids=["not-utf8", "nested-80-deep"])
+def test_undecodable_or_deep_file_is_a_parse_error(
+        capsys, tmp_path, jre_mini_path, name, content, reason):
+    project = write_demo(tmp_path)
+    (project / name).write_bytes(content)
+    code, out, err = run(capsys, "analyze", "--project", str(project),
+                         "--platform", str(jre_mini_path))
+    assert code == 0
+    assert f"skipped unparseable file: {project / name}: {reason}" in err
+    assert "Traceback" not in err
+    assert json.loads(out)["totals"]["try_blocks"] == 1
+    code, _out, err = run(capsys, "analyze", "--project", str(project),
+                          "--platform", str(jre_mini_path), "--strict")
+    assert code == 3
+    assert f"error: {project / name}: {reason}" in err
+
+
 def test_model_error_exits_three(capsys, tmp_path, jre_mini_path):
     project = tmp_path / "src"
     project.mkdir()

@@ -12,6 +12,9 @@ def kinds_and_texts(source):
 def test_keywords_vs_identifiers():
     assert kinds_and_texts("class Foo") == [("kw", "class"), ("ident", "Foo")]
     assert kinds_and_texts("classy") == [("ident", "classy")]
+    assert kinds_and_texts("$x _y café x²") == [
+        ("ident", "$x"), ("ident", "_y"), ("ident", "café"), ("ident", "x²")]
+    assert kinds_and_texts("é") == [("ident", "é")]
 
 
 def test_punctuation_maximal_munch():
@@ -24,6 +27,9 @@ def test_punctuation_maximal_munch():
         ("punct", "("), ("punct", ")"), ("punct", "->"),
         ("ident", "x"), ("punct", "::"), ("ident", "y")]
     assert kinds_and_texts("f(a, ...)")[-2] == ("punct", "...")
+    assert kinds_and_texts("....5") == [("punct", "..."), ("float", ".5")]
+    assert kinds_and_texts("a/b") == [
+        ("ident", "a"), ("punct", "/"), ("ident", "b")]
 
 
 def test_number_literals():
@@ -31,6 +37,15 @@ def test_number_literals():
         ("int", "0x1F"), ("int", "0b1010"), ("int", "12_000"),
         ("float", "1.5e-3"), ("float", "2f"), ("int", "3L"),
         ("float", ".5")]
+    assert kinds_and_texts("1. 1..2 1e 1e+5 0b1_0L 1.5f 2d") == [
+        ("int", "1"), ("punct", "."),
+        ("int", "1"), ("punct", "."), ("float", ".2"),
+        ("int", "1"), ("ident", "e"),
+        ("float", "1e+5"), ("int", "0b1_0L"), ("float", "1.5f"),
+        ("float", "2d")]
+    # \d is Unicode-aware: Arabic-Indic digits are decimal digits
+    assert kinds_and_texts("\u0661\u0662 \u0663.\u0664") == [
+        ("int", "\u0661\u0662"), ("float", "\u0663.\u0664")]
 
 
 def test_string_and_char_literals():
@@ -46,6 +61,15 @@ def test_positions_one_indexed():
     assert (a.line, a.column) == (1, 1)
     assert (b.line, b.column) == (2, 3)
     assert str(b.position("T.java")) == "T.java:2:3"
+    lexed = tokenize("a\r\n  b\r\nc", "T.java")
+    assert [(t.text, t.line, t.column, t.offset) for t in lexed.tokens] == [
+        ("a", 1, 1, 0), ("b", 2, 3, 5), ("c", 3, 1, 8), ("", 3, 2, 9)]
+    # a backslash-newline stays inside the literal, and its newline counts
+    lexed = tokenize('x = "a\\\nbc" + y', "T.java")
+    string, plus, y = lexed.tokens[2:5]
+    assert (string.kind, string.text) == ("string", '"a\\\nbc"')
+    assert (plus.line, plus.column) == (2, 5)
+    assert (y.line, y.column, y.offset) == (2, 7, 14)
 
 
 def test_comments_collected_not_tokenized():
@@ -60,6 +84,9 @@ def test_comments_collected_not_tokenized():
 def test_empty_block_comment_is_not_doc():
     lexed = tokenize("/**/ x", "T.java")
     assert lexed.comments[0].is_doc is False
+    lexed = tokenize("a/**/b/***/c", "T.java")
+    assert [t.text for t in lexed.tokens] == ["a", "b", "c", ""]
+    assert [c.text for c in lexed.comments] == ["/**/", "/***/"]
 
 
 def test_comment_spans_cover_source_offsets():
@@ -91,6 +118,11 @@ def test_unterminated_constructs_raise():
 
 
 def test_unexpected_character_has_position():
-    with pytest.raises(ParseError) as info:
-        tokenize("a\n  #", "T.java")
-    assert "T.java:2:3" in str(info.value)
+    # vertical tab is not Java whitespace; a fraction or a Roman numeral is
+    # a word character but cannot start an identifier; superscript and
+    # circled digits are digits to str.isdigit() but not decimal digits,
+    # so they start no number either
+    for char in "#\x0b\u00bd\u2167\u00b2\u2460":
+        with pytest.raises(ParseError) as info:
+            tokenize(f"a\n  {char}2", "T.java")
+        assert str(info.value) == f"T.java:2:3: unexpected character {char!r}"
