@@ -213,7 +213,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise _UsageError(f"cannot load report {path}: {exc}")
             for row in report.try_blocks:
-                values.append(float(getattr(row, args.metric)))
+                value = getattr(row, args.metric)
+                if (isinstance(value, bool)
+                        or not isinstance(value, (int, float))):
+                    raise _UsageError(
+                        f"report {path}: {args.metric} of try block "
+                        f"{row.try_id!r} is not a number: {value!r}")
+                values.append(float(value))
         return values
 
     sample_a = pooled(args.group_a)

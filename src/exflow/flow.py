@@ -20,7 +20,8 @@ evaluated once in sorted id order, and each time a method's set changes,
 its callers are queued again in sorted order. The order never depends on
 hashing. Sets only grow, so the worklist empties on recursive and mutually
 recursive call graphs too. A try block's possible set is read off the same
-summary, from the region of its body.
+summary: the facts of its body's own sites plus what each try nested in it
+propagates, worked out bottom-up for all tries of a method at once.
 
 Evidence accumulates through call chains: a fact arriving at a try block
 carries every evidence kind observed anywhere along its paths, and facts
@@ -31,11 +32,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import cached_property
+from operator import attrgetter
+from typing import Iterator, Optional, Union
 
 from .classify import Strategy, classify_strategy
 from .model import (
     CorpusMethod, ExternalMethod, MethodId, SemanticModel, Unresolved,
+    method_id_str,
 )
 from .syntax.ast import (
     Block, CatchClause, CompilationUnit, Invocation, Lambda, NewInstance,
@@ -59,11 +63,21 @@ class EvidenceKind(enum.Enum):
 class LexicalThrowOrigin:
     position: SourcePosition
 
+    @cached_property
+    def label(self) -> str:
+        """How reports name the origin, worked out on first use."""
+        return f"throw {self.position}"
+
 
 @dataclass(frozen=True)
 class CallSiteOrigin:
     position: SourcePosition
     callee: MethodId
+
+    @cached_property
+    def label(self) -> str:
+        """How reports name the origin, worked out on first use."""
+        return f"call {self.position} -> {method_id_str(self.callee)}"
 
 
 Origin = Union[LexicalThrowOrigin, CallSiteOrigin]
@@ -115,11 +129,15 @@ class TryBlockAnalysis:
 class TryRegion:
     """One try statement: its clauses with the caught names resolved to type
     ids (a name that is unknown or not in the model matches nothing), the
-    union of those ids, and the region of its body."""
+    union of those ids, and the region of its body. analysis is the try's
+    partition under the converged fixed point, once analyze_try_block has
+    run for its method."""
 
+    stmt: TryStmt
     clauses: tuple[tuple[CatchClause, tuple[str, ...]], ...]
     caught: frozenset[str]
     body: "Region"
+    analysis: Optional[TryBlockAnalysis] = None
 
 
 @dataclass
@@ -141,6 +159,8 @@ class MethodSummary:
     body: Region
     tries: dict[str, TryRegion]  # by try id
     callees: set[MethodId] = field(default_factory=set)
+    # the method sets the tries' analyses were computed under
+    partitioned_under: Optional[dict[MethodId, MethodExceptionSet]] = None
 
 
 def method_summary(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
@@ -189,21 +209,16 @@ def analyze_try_block(t: TryStmt, sets: dict[MethodId, MethodExceptionSet],
                       model: SemanticModel,
                       method: CorpusMethod) -> TryBlockAnalysis:
     """Partition the try body's possible exceptions into handled (with the
-    first matching clause and its strategy) and propagated."""
-    region = method_summary(model, method).tries[t.id]
-    possible = frozenset(_reaching(region.body, sets, model.ancestors).values())
-    handled: dict[PossibleException, tuple[CatchClause, str, Strategy]] = {}
-    propagated: set[PossibleException] = set()
-    for fact in sorted(possible, key=_fact_key):
-        match = _first_match(model.ancestors[fact.type], region.clauses)
-        if match is None:
-            propagated.add(fact)
-        else:
-            clause, matched_type = match
-            handled[fact] = (clause, matched_type,
-                             classify_strategy(fact.type, matched_type, model))
-    return TryBlockAnalysis(t.id, t.position, possible, handled,
-                            frozenset(propagated))
+    first matching clause and its strategy) and propagated.
+
+    sets is the converged fixed point. The first call for a method
+    partitions all of its tries, innermost first, and keeps each analysis
+    on the method summary; later calls with the same sets read it back."""
+    summary = method_summary(model, method)
+    if summary.partitioned_under is not sets:
+        _partition_tries(summary, sets, model)
+        summary.partitioned_under = sets
+    return summary.tries[t.id].analysis
 
 
 def attribute_sources(analysis: TryBlockAnalysis, *, transitive: bool = False
@@ -211,14 +226,13 @@ def attribute_sources(analysis: TryBlockAnalysis, *, transitive: bool = False
     """Per exception type: how many distinct methods it traces back to and
     the union of its evidence kinds. Direct invocations of the try body by
     default; transitive counts every contributing method instead."""
-    methods: dict[str, set[MethodId]] = {}
-    evidence: dict[str, set[EvidenceKind]] = {}
+    pool = attrgetter("source_methods" if transitive else "origin_methods")
+    by_type: dict[str, list[PossibleException]] = {}
     for fact in analysis.possible:
-        pool = fact.source_methods if transitive else fact.origin_methods
-        methods.setdefault(fact.type, set()).update(pool)
-        evidence.setdefault(fact.type, set()).update(fact.evidence)
-    return {tid: (len(methods[tid]), frozenset(evidence[tid]))
-            for tid in methods}
+        by_type.setdefault(fact.type, []).append(fact)
+    return {tid: (len(frozenset().union(*map(pool, facts))),
+                  frozenset().union(*map(_EVIDENCE, facts)))
+            for tid, facts in by_type.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +240,7 @@ def attribute_sources(analysis: TryBlockAnalysis, *, transitive: bool = False
 # ---------------------------------------------------------------------------
 
 _THROWN = frozenset({EvidenceKind.THROW_STATEMENT})
+_EVIDENCE = attrgetter("evidence")
 
 
 def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
@@ -257,7 +272,7 @@ def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
         if isinstance(stmt, TryStmt):
             clauses = tuple((clause, _caught_ids(model, clause, unit))
                             for clause in stmt.catches)
-            inner = TryRegion(clauses, frozenset(
+            inner = TryRegion(stmt, clauses, frozenset(
                 tid for _clause, ids in clauses for tid in ids), Region())
             region.tries.append(inner)
             summary.tries[stmt.id] = inner
@@ -336,6 +351,65 @@ def _reaching(region: Region, sets: dict[MethodId, MethodExceptionSet],
         for inner in region.tries:
             stack.append((inner.body, caught | inner.caught))
     return facts
+
+
+def _site_facts(region: Region, sets: dict[MethodId, MethodExceptionSet]
+                ) -> Iterator[PossibleException]:
+    """The facts of the region's own throw and call sites, unfiltered
+    (_reaching filters a callee's facts before building them)."""
+    yield from region.throws
+    for origin in region.calls:
+        via = frozenset({origin.callee})
+        for tid, callee_fact in sets[origin.callee].facts.items():
+            yield PossibleException(tid, origin, callee_fact.evidence, via,
+                                    callee_fact.sources)
+
+
+def _partition_tries(summary: MethodSummary,
+                     sets: dict[MethodId, MethodExceptionSet],
+                     model: SemanticModel) -> None:
+    """Analyze every try of the method bottom-up: the facts reaching a try
+    body are its own sites' facts plus what each try nested in it
+    propagates, so each site's facts are built once per method."""
+    order: list[TryRegion] = []
+    stack = list(summary.body.tries)
+    while stack:
+        region = stack.pop()
+        order.append(region)
+        stack.extend(region.body.tries)
+    for region in reversed(order):  # every try after the tries it holds
+        # two sites with one origin call one callee and yield equal facts,
+        # so the set merges them as _add would
+        possible = frozenset(_site_facts(region.body, sets))
+        if region.body.tries:
+            possible = possible.union(*(inner.analysis.propagated
+                                        for inner in region.body.tries))
+        region.analysis = _partition(region, possible, model)
+
+
+def _partition(region: TryRegion, possible: frozenset[PossibleException],
+               model: SemanticModel) -> TryBlockAnalysis:
+    """Split the facts by the first clause that catches their type; handled
+    keeps the order of _fact_key."""
+    outcome: dict[str, Optional[tuple[CatchClause, str, Strategy]]] = {}
+    caught = []
+    for fact in possible:
+        tid = fact.type
+        if tid not in outcome:
+            match = _first_match(model.ancestors[tid], region.clauses)
+            if match is not None:
+                clause, matched_type = match
+                match = (clause, matched_type,
+                         classify_strategy(tid, matched_type, model))
+            outcome[tid] = match
+        if outcome[tid] is not None:
+            caught.append(fact)
+    caught.sort(key=_fact_key)
+    handled = {fact: outcome[fact.type] for fact in caught}
+    propagated = possible.difference(handled) if handled else possible
+    stmt = region.stmt
+    return TryBlockAnalysis(stmt.id, stmt.position, possible, handled,
+                            propagated)
 
 
 def _add(facts: dict, fact: PossibleException) -> None:

@@ -574,23 +574,30 @@ class _Resolver:
     # -- expressions ------------------------------------------------------
 
     def _expr(self, expr: Expr, scope: _Scope) -> None:
-        if isinstance(expr, Invocation):
-            self._record(expr, self._resolve_invocation(expr, scope))
-        elif isinstance(expr, NewInstance):
-            self._record(expr, self._resolve_constructor(expr))
-            if expr.anonymous_body is not None:
-                self._statements(expr.anonymous_body.statements, _Scope(scope))
-        elif isinstance(expr, Lambda):
-            inner = _Scope(scope)
-            for param in expr.parameters:
-                inner.declare(param, None)
-            if isinstance(expr.body, Block):
-                self._statements(expr.body.statements, inner)
-            else:
-                self._expr(expr.body, inner)
-            return
-        for child in sub_expressions(expr):
-            self._expr(child, scope)
+        """Resolve every call in the expression, in pre-order left to right.
+        The walk keeps its own stack, so a long concatenation nests to any
+        depth; only a lambda's expression body, which has its own scope,
+        is walked by a nested call."""
+        stack = [expr]
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, Invocation):
+                self._record(expr, self._resolve_invocation(expr, scope))
+            elif isinstance(expr, NewInstance):
+                self._record(expr, self._resolve_constructor(expr))
+                if expr.anonymous_body is not None:
+                    self._statements(expr.anonymous_body.statements,
+                                     _Scope(scope))
+            elif isinstance(expr, Lambda):
+                inner = _Scope(scope)
+                for param in expr.parameters:
+                    inner.declare(param, None)
+                if isinstance(expr.body, Block):
+                    self._statements(expr.body.statements, inner)
+                else:
+                    self._expr(expr.body, inner)
+                continue
+            stack.extend(reversed(sub_expressions(expr)))
 
     def _record(self, call: Union[Invocation, NewInstance],
                 result: Union[MethodId, Unresolved]) -> None:

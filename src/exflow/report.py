@@ -1,8 +1,9 @@
 """Project-level aggregation of try-block analyses and report emission.
 
 The JSON report is a single document mirroring ProjectReport with stable
-field order; the CSV form is five files with fixed schemas. Identical
-inputs produce identical bytes.
+field order, written exactly as json.dumps(document, indent=2) would write
+it (ASCII escapes, no trailing spaces) plus a newline; the CSV form is five
+files with fixed schemas. Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Union
 
-from .classify import HandlerClassification, Strategy, partition_recoverability
+from .classify import HandlerClassification, Strategy
 from .flow import EvidenceKind, TryBlockAnalysis, attribute_sources
-from .model import SemanticModel, method_id_str
+from .model import Recoverability, SemanticModel
 from .syntax.ast import CompilationUnit, TryStmt
 
 DIVERSITY_BUCKETS = ("1", "2", "3", "4", "5", ">5")
@@ -104,47 +106,50 @@ def aggregate_project(bundles: list[TryBundle], model: SemanticModel,
                       name: str, *, transitive: bool = False) -> ProjectReport:
     """Reduce per-try analyses into the project report."""
     rows = []
-    all_types: set[str] = set()
     appearances: dict[str, int] = {}
     catch_clauses = 0
+    labels = _Memo(lambda kinds: sorted(k.value for k in kinds))
+    recoverable = _Memo(lambda tid: model.recoverability_of(tid)
+                        is Recoverability.POTENTIALLY_RECOVERABLE)
+
+    def evidence(kinds: frozenset[EvidenceKind]) -> list[str]:
+        return list(labels[kinds])
+
     for bundle in bundles:
         analysis = bundle.analysis
-        possible_types = {f.type for f in analysis.possible}
-        propagated_types = {f.type for f in analysis.propagated}
-        recoverable, _ = partition_recoverability(analysis.propagated, model)
-        recoverable_types = {f.type for f in recoverable}
-        strategy_by_type: dict[str, str] = {t: PROPAGATED_LABEL
-                                            for t in propagated_types}
+        # handled and propagated are disjoint and together make up possible
+        facts = [FactRow(f.type, f.origin.label, evidence(f.evidence), False)
+                 for f in analysis.propagated]
+        strategy_by_type = dict.fromkeys((r.type for r in facts),
+                                         PROPAGATED_LABEL)
+        propagated = len(strategy_by_type)
+        propagated_recoverable = sum(recoverable[t] for t in strategy_by_type)
         for fact, (_clause, _matched, strategy) in analysis.handled.items():
+            facts.append(FactRow(fact.type, fact.origin.label,
+                                 evidence(fact.evidence), True))
             strategy_by_type[fact.type] = STRATEGY_LABELS[strategy]
+        facts.sort(key=lambda r: (r.type, r.origin))
         attribution = attribute_sources(analysis, transitive=transitive)
         exceptions = [
-            TypeAttribution(t, attribution[t][0],
-                            sorted(k.value for k in attribution[t][1]),
+            TypeAttribution(t, attribution[t][0], evidence(attribution[t][1]),
                             strategy_by_type[t])
-            for t in sorted(possible_types)]
-        facts = [FactRow(f.type, _origin_label(f.origin),
-                         sorted(k.value for k in f.evidence),
-                         f in analysis.handled)
-                 for f in analysis.possible]
-        facts.sort(key=lambda r: (r.type, r.origin))
+            for t in sorted(strategy_by_type)]
         handlers = [HandlerRow(h.catch_id, sorted(a.value for a in h.actions))
                     for h in bundle.handlers]
         rows.append(TryRow(
             analysis.try_id, analysis.position.file, analysis.position.line,
-            total=len(possible_types), propagated=len(propagated_types),
-            propagated_recoverable=len(recoverable_types),
+            total=len(strategy_by_type), propagated=propagated,
+            propagated_recoverable=propagated_recoverable,
             exceptions=exceptions, facts=facts, handlers=handlers))
         catch_clauses += len(bundle.stmt.catches)
-        all_types.update(possible_types)
-        for t in possible_types:
+        for t in strategy_by_type:
             appearances[t] = appearances.get(t, 0) + 1
     rows.sort(key=lambda r: (r.file, r.line, r.try_id))
 
     buckets = {b: 0 for b in DIVERSITY_BUCKETS}
     for t, count in appearances.items():
         buckets[str(count) if count <= 5 else ">5"] += 1
-    total_types = len(all_types)
+    total_types = len(appearances)
     fractions = {b: (buckets[b] / total_types if total_types else 0.0)
                  for b in DIVERSITY_BUCKETS}
 
@@ -179,44 +184,6 @@ def documentation_coverage(report: ProjectReport) -> CoverageSummary:
 # serialization
 # ---------------------------------------------------------------------------
 
-def report_to_dict(report: ProjectReport) -> dict:
-    return {
-        "project": report.project,
-        "totals": {
-            "try_blocks": report.totals.try_blocks,
-            "catch_clauses": report.totals.catch_clauses,
-            "methods": report.totals.methods,
-            "distinct_exception_types": report.totals.distinct_exception_types,
-        },
-        "try_blocks": [
-            {
-                "try_id": row.try_id,
-                "file": row.file,
-                "line": row.line,
-                "total": row.total,
-                "propagated": row.propagated,
-                "propagated_recoverable": row.propagated_recoverable,
-                "exceptions": [
-                    {"type": e.type, "distinct_methods": e.distinct_methods,
-                     "evidence": list(e.evidence), "strategy": e.strategy}
-                    for e in row.exceptions],
-                "facts": [
-                    {"type": f.type, "origin": f.origin,
-                     "evidence": list(f.evidence), "handled": f.handled}
-                    for f in row.facts],
-                "handlers": [
-                    {"catch_id": h.catch_id, "actions": list(h.actions)}
-                    for h in row.handlers],
-            }
-            for row in report.try_blocks],
-        "diversity": {
-            "total_types": report.diversity.total_types,
-            "buckets": {b: report.diversity.buckets[b]
-                        for b in DIVERSITY_BUCKETS},
-        },
-    }
-
-
 def report_from_dict(doc: dict) -> ProjectReport:
     totals = Totals(**doc["totals"])
     rows = [
@@ -237,8 +204,92 @@ def report_from_dict(doc: dict) -> ProjectReport:
     return ProjectReport(doc["project"], totals, rows, diversity)
 
 
+# json.dumps(doc, indent=2) of the document, field by field: every string
+# goes through the encoder json itself uses for ensure_ascii, every float
+# through float.__repr__, and an empty list is "[]"
+_DOCUMENT = """{
+  "project": %s,
+  "totals": {
+    "try_blocks": %d,
+    "catch_clauses": %d,
+    "methods": %d,
+    "distinct_exception_types": %d
+  },
+  "try_blocks": %s,
+  "diversity": {
+    "total_types": %d,
+    "buckets": {
+%s
+    }
+  }
+}
+"""
+_BUCKET = '      %s: %s'
+_ROW = """    {
+      "try_id": %s,
+      "file": %s,
+      "line": %d,
+      "total": %d,
+      "propagated": %d,
+      "propagated_recoverable": %d,
+      "exceptions": %s,
+      "facts": %s,
+      "handlers": %s
+    }"""
+_EXCEPTION = """        {
+          "type": %s,
+          "distinct_methods": %d,
+          "evidence": %s,
+          "strategy": %s
+        }"""
+_FACT = """        {
+          "type": %s,
+          "origin": %s,
+          "evidence": %s,
+          "handled": %s
+        }"""
+_HANDLER = """        {
+          "catch_id": %s,
+          "actions": %s
+        }"""
+
+
 def report_to_json(report: ProjectReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """The report as json.dumps(document, indent=2) plus a newline, where
+    the document holds the fields of ProjectReport in declaration order."""
+    string = _Memo(encode_basestring_ascii)
+    labels = _Memo(lambda values: _items(
+        ["            " + string[v] for v in values], "          "))
+    rows = [
+        _ROW % (
+            string[row.try_id], string[row.file], row.line, row.total,
+            row.propagated, row.propagated_recoverable,
+            _items([_EXCEPTION % (string[e.type], e.distinct_methods,
+                                  labels[tuple(e.evidence)],
+                                  string[e.strategy])
+                    for e in row.exceptions], "      "),
+            _items([_FACT % (string[f.type], string[f.origin],
+                             labels[tuple(f.evidence)],
+                             "true" if f.handled else "false")
+                    for f in row.facts], "      "),
+            _items([_HANDLER % (string[h.catch_id], labels[tuple(h.actions)])
+                    for h in row.handlers], "      "))
+        for row in report.try_blocks]
+    totals = report.totals
+    buckets = report.diversity.buckets
+    return _DOCUMENT % (
+        string[report.project], totals.try_blocks, totals.catch_clauses,
+        totals.methods, totals.distinct_exception_types,
+        _items(rows, "  "), report.diversity.total_types,
+        ",\n".join(_BUCKET % (string[b], float.__repr__(buckets[b]))
+                   for b in DIVERSITY_BUCKETS))
+
+
+def _items(rendered: list[str], indent: str) -> str:
+    """A JSON array of rendered items, closed at the given indent."""
+    if not rendered:
+        return "[]"
+    return "[\n" + ",\n".join(rendered) + "\n" + indent + "]"
 
 
 def report_from_json(text: str) -> ProjectReport:
@@ -311,8 +362,13 @@ def emit_csv_tables(reports: list[ProjectReport],
     return written
 
 
-def _origin_label(origin) -> str:
-    callee = getattr(origin, "callee", None)
-    if callee is not None:
-        return f"call {origin.position} -> {method_id_str(callee)}"
-    return f"throw {origin.position}"
+class _Memo(dict):
+    """A dict that fills a missing key with function(key)."""
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value

@@ -14,7 +14,7 @@ to declarations and ordinary comments to their nearest enclosing block.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import Comment, SourcePosition
 from .errors import ParseError
@@ -73,8 +73,7 @@ _UNTERMINATED = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "kw" | "int" | "float" | "char" | "string" | "punct" | "eof"
     text: str
     line: int

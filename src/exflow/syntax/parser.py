@@ -775,7 +775,7 @@ class _Parser:
         ops = _BINARY_LEVELS[level]
         while True:
             tok = self._cur()
-            if tok.kind not in ("punct", "kw") or tok.text not in ops:
+            if tok.text not in ops or tok.kind not in ("punct", "kw"):
                 return left
             self._advance()
             if tok.text == "instanceof":

@@ -14,54 +14,48 @@ from .ast import (
     Conditional, ContinueStmt, Expr, ExprStmt, FieldAccess, IfStmt,
     InstanceOf, Invocation, Lambda, Literal, LocalDecl, LoopStmt, MethodRef,
     Name, NewArray, NewInstance, OpaqueThrow, ReturnStmt, Statement,
-    ThrowStmt, TryStmt, Unary, VariableRef,
+    ThrowStmt, TryStmt, Unary,
 )
 
 
-def sub_expressions(expr: Expr) -> Iterator[Expr]:
-    """Direct child expressions, excluding statement blocks."""
+def sub_expressions(expr: Expr) -> list[Expr]:
+    """Direct child expressions, left to right, excluding statement blocks."""
+    if isinstance(expr, (Literal, Name, MethodRef)):
+        return []
     if isinstance(expr, Invocation):
-        if expr.receiver is not None:
-            yield expr.receiver
-        yield from expr.arguments
-    elif isinstance(expr, NewInstance):
-        yield from expr.arguments
-    elif isinstance(expr, NewArray):
-        yield from expr.dimensions
-        yield from expr.initializer
-    elif isinstance(expr, FieldAccess):
-        yield expr.target
-    elif isinstance(expr, Unary):
-        yield expr.operand
-    elif isinstance(expr, Binary):
-        yield expr.left
-        yield expr.right
-    elif isinstance(expr, Assignment):
-        yield expr.target
-        yield expr.value
-    elif isinstance(expr, Conditional):
-        yield expr.condition
-        yield expr.if_true
-        yield expr.if_false
-    elif isinstance(expr, Cast):
-        yield expr.operand
-    elif isinstance(expr, ArrayAccess):
-        yield expr.target
-        yield expr.index
-    elif isinstance(expr, InstanceOf):
-        yield expr.operand
-    elif isinstance(expr, Lambda):
-        if not isinstance(expr.body, Block):
-            yield expr.body
-    elif isinstance(expr, (Literal, Name, MethodRef)):
-        return
+        if expr.receiver is None:
+            return list(expr.arguments)
+        return [expr.receiver, *expr.arguments]
+    if isinstance(expr, NewInstance):
+        return list(expr.arguments)
+    if isinstance(expr, NewArray):
+        return [*expr.dimensions, *expr.initializer]
+    if isinstance(expr, FieldAccess):
+        return [expr.target]
+    if isinstance(expr, (Unary, Cast, InstanceOf)):
+        return [expr.operand]
+    if isinstance(expr, Binary):
+        return [expr.left, expr.right]
+    if isinstance(expr, Assignment):
+        return [expr.target, expr.value]
+    if isinstance(expr, Conditional):
+        return [expr.condition, expr.if_true, expr.if_false]
+    if isinstance(expr, ArrayAccess):
+        return [expr.target, expr.index]
+    if isinstance(expr, Lambda) and not isinstance(expr.body, Block):
+        return [expr.body]
+    return []  # a lambda with a block body
 
 
 def iter_expressions(expr: Expr) -> Iterator[Expr]:
-    """The expression and all sub-expressions, without entering blocks."""
-    yield expr
-    for child in sub_expressions(expr):
-        yield from iter_expressions(child)
+    """The expression and all sub-expressions, in pre-order left to right,
+    without entering blocks. The walk keeps its own stack, so a left-deep
+    chain such as a long string concatenation nests to any depth."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(sub_expressions(node)))
 
 
 def nested_blocks(expr: Expr) -> Iterator[Block]:

@@ -180,6 +180,34 @@ def test_undecodable_or_deep_file_is_a_parse_error(
     assert f"error: {project / name}: {reason}" in err
 
 
+# 1500 string terms make a left-deep chain of 1499 Binary nodes, deeper than
+# the default recursion limit; calls sit at both ends of the chain, inside a
+# try, and the handler logs another long concatenation
+TERMS = " + ".join(f'"s{i}"' for i in range(1500))
+CONCATENATION = (
+    "package demo;\n"
+    "class Long {\n"
+    "  String g() { return \"\"; }\n"
+    "  String f() {\n"
+    f"    try {{ return g() + {TERMS} + g(); }}\n"
+    f"    catch (IllegalStateException e) {{ System.out.println({TERMS}); }}\n"
+    "    return null;\n"
+    "  }\n"
+    "}\n")
+
+
+def test_long_concatenation_is_analyzed(capsys, tmp_path, jre_mini_path):
+    project = write_demo(tmp_path)
+    (project / "Long.java").write_text(CONCATENATION)
+    code, out, err = run(capsys, "analyze", "--project", str(project),
+                         "--platform", str(jre_mini_path))
+    assert code == 0
+    assert "Traceback" not in err and "RecursionError" not in err
+    doc = json.loads(out)
+    assert doc["totals"]["try_blocks"] == 2
+    assert doc["totals"]["methods"] == 4
+
+
 def test_model_error_exits_three(capsys, tmp_path, jre_mini_path):
     project = tmp_path / "src"
     project.mkdir()
@@ -268,6 +296,25 @@ def test_stats_needs_rows(capsys, tmp_path, jre_mini_path, fig1_dir):
                           "--group-b", str(full), "--metric", "total")
     assert code == 2
     assert "at least one try-block row" in err
+
+
+@pytest.mark.parametrize("value", ['"x"', "null", '"3"', "true", "[1]"])
+def test_stats_rejects_non_numeric_metric(capsys, tmp_path, fig1_dir,
+                                          jre_mini_path, value):
+    good = tmp_path / "good.json"
+    run(capsys, "analyze", "--project", str(fig1_dir),
+        "--platform", str(jre_mini_path), "--out", str(good))
+    doc = json.loads(good.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(good.read_text().replace(
+        f'"total": {doc["try_blocks"][0]["total"]},', f'"total": {value},'))
+    code, out, err = run(capsys, "stats", "--group-a", str(good),
+                         "--group-b", str(bad), "--metric", "total")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: report {bad}: total of try block ")
+    assert line.endswith(f"is not a number: {json.loads(value)!r}")
 
 
 def test_usage_errors_from_argparse(capsys):

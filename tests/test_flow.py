@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from _corpus import build_corpus_model, generate_corpus
 from exflow import flow
-from exflow.classify import Strategy
+from exflow.classify import Strategy, classify_strategy
 from exflow.driver import analyze_project
 from exflow.flow import (
     CallSiteOrigin,
@@ -538,3 +539,69 @@ def test_unknown_thrown_type_is_diagnosed_once(tmp_path):
     compute_method_exception_sets(result.model)  # summaries are reused
     complaint = "thrown type Bogus is not a known exception"
     assert sum(complaint in d for d in result.model.diagnostics) == 1
+
+
+# -- bottom-up partition against a per-try walk -----------------------------
+
+def walked_partition(model, sets, method, stmt):
+    """The partition of one try from a walk of its own body that shares no
+    work with any other try: _reaching over the body region, then the
+    first matching clause per fact in _fact_key order."""
+    region = flow.method_summary(model, method).tries[stmt.id]
+    possible = frozenset(
+        flow._reaching(region.body, sets, model.ancestors).values())
+    handled = {}
+    for fact in sorted(possible, key=flow._fact_key):
+        match = flow._first_match(model.ancestors[fact.type], region.clauses)
+        if match is not None:
+            clause, matched = match
+            handled[fact] = (clause, matched,
+                             classify_strategy(fact.type, matched, model))
+    return possible, handled, possible - handled.keys()
+
+
+def assert_partitions_match_walk(model, sets):
+    for method, stmt in model.try_blocks():
+        analysis = analyze_try_block(stmt, sets, model, method)
+        possible, handled, propagated = walked_partition(
+            model, sets, method, stmt)
+        assert analysis.possible == possible, stmt.id
+        assert analysis.handled == handled, stmt.id
+        assert analysis.propagated == propagated, stmt.id
+        keys = [flow._fact_key(f) for f in analysis.handled]
+        assert keys == sorted(keys), stmt.id
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_partition_matches_per_try_walk_on_cyclic_corpora(seed):
+    corpus = generate_corpus(seed, cyclic=True, max_methods=30,
+                             max_try_depth=4)
+    model, sets = build_corpus_model(corpus)
+    assert_partitions_match_walk(model, sets)
+
+
+def test_partition_matches_per_try_walk_on_deep_nest():
+    # 60 nested tries in one method, each calling h() (RuntimeException)
+    # and g() (IOException) before its inner try; the clauses alternate
+    # between RuntimeException, IOException, Exception and a name that
+    # matches nothing, and the innermost try throws both types
+    depth = 60
+    caught = ("Mystery", "RuntimeException", "Mystery", "IOException",
+              "Mystery", "Exception")
+    lines = ["class A {",
+             "  void h() { throw new RuntimeException(); }",
+             "  void g() throws IOException {}",
+             "  void f() {"]
+    lines += ["    try { h(); g();"] * depth
+    lines += ["    throw new IOException();",
+              "    } catch (RuntimeException e) { throw new RuntimeException(); }"]
+    for k in reversed(range(depth - 1)):
+        lines.append(f"    }} catch ({caught[k % len(caught)]} e) {{ g(); }}")
+    lines += ["  }", "}", ""]
+    model, sets = build("\n".join(lines))
+    assert len(model.try_blocks()) == depth
+    assert_partitions_match_walk(model, sets)
+    analyses = [analyze_try_block(stmt, sets, model, method)
+                for method, stmt in model.try_blocks()]
+    assert sum(len(a.handled) for a in analyses) > depth
+    assert sum(len(a.propagated) for a in analyses) > depth

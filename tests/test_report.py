@@ -3,10 +3,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _corpus import (
+    generate_corpus, platform_document, render_app, render_exceptions,
+)
+from exflow.config import Config
 from exflow.driver import analyze_project
+from exflow.model import parse_platform_document
 from exflow.report import (
     DIVERSITY_BUCKETS,
+    Diversity,
+    FactRow,
+    HandlerRow,
+    ProjectReport,
+    Totals,
+    TryRow,
+    TypeAttribution,
     documentation_coverage,
     emit_csv_tables,
     emit_report,
@@ -184,3 +198,113 @@ def test_multiple_reports_concatenate(tmp_path, fig1_result, demo_result):
     lines = (tmp_path / "tryblocks.csv").read_text().splitlines()
     projects = [line.split(",")[0] for line in lines[1:]]
     assert projects == [fig1_result.report.project, "demo", "demo"]
+
+
+# -- the JSON writer against json.dumps --------------------------------------
+
+def reference_dict(report):
+    """The report document in schema order, for json.dumps(indent=2)."""
+    return {
+        "project": report.project,
+        "totals": {
+            "try_blocks": report.totals.try_blocks,
+            "catch_clauses": report.totals.catch_clauses,
+            "methods": report.totals.methods,
+            "distinct_exception_types": report.totals.distinct_exception_types,
+        },
+        "try_blocks": [
+            {
+                "try_id": row.try_id,
+                "file": row.file,
+                "line": row.line,
+                "total": row.total,
+                "propagated": row.propagated,
+                "propagated_recoverable": row.propagated_recoverable,
+                "exceptions": [
+                    {"type": e.type, "distinct_methods": e.distinct_methods,
+                     "evidence": list(e.evidence), "strategy": e.strategy}
+                    for e in row.exceptions],
+                "facts": [
+                    {"type": f.type, "origin": f.origin,
+                     "evidence": list(f.evidence), "handled": f.handled}
+                    for f in row.facts],
+                "handlers": [
+                    {"catch_id": h.catch_id, "actions": list(h.actions)}
+                    for h in row.handlers],
+            }
+            for row in report.try_blocks],
+        "diversity": {
+            "total_types": report.diversity.total_types,
+            "buckets": {b: report.diversity.buckets[b]
+                        for b in DIVERSITY_BUCKETS},
+        },
+    }
+
+
+def assert_writer_matches_json_dumps(report):
+    expected = json.dumps(reference_dict(report), indent=2) + "\n"
+    assert report_to_json(report) == expected
+
+
+# quotes, backslashes, control characters, non-ASCII (one outside the BMP)
+# and the line separators JavaScript treats specially
+awkward = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€\u2028\u2029😀a ')
+strings = st.text(awkward | st.characters(), max_size=6)
+labels = st.lists(strings, max_size=3)
+counts = st.integers(-10**12, 10**12)
+fractions = st.sampled_from([1 / 3, 2 / 3, 0.0, 1.0, 0.5, 1e-7]) \
+    | st.floats(0.0, 1.0)
+rows = st.builds(
+    TryRow, strings, strings, counts, counts, counts, counts,
+    st.lists(st.builds(TypeAttribution, strings, counts, labels, strings),
+             max_size=3),
+    st.lists(st.builds(FactRow, strings, strings, labels, st.booleans()),
+             max_size=3),
+    st.lists(st.builds(HandlerRow, strings, labels), max_size=3))
+reports = st.builds(
+    ProjectReport, strings,
+    st.builds(Totals, counts, counts, counts, counts),
+    st.lists(rows, max_size=3),
+    st.builds(Diversity, counts,
+              st.fixed_dictionaries({b: fractions for b in DIVERSITY_BUCKETS})))
+
+
+@settings(deadline=None)
+@given(reports)
+def test_writer_matches_json_dumps(report):
+    assert_writer_matches_json_dumps(report)
+
+
+def test_writer_on_empty_lists():
+    empty = ProjectReport(
+        "", Totals(0, 0, 0, 0),
+        [TryRow("t", "f", 1, 0, 0, 0, [], [], []),
+         TryRow("u", "g", 2, 1, 1, 0,
+                [TypeAttribution("X", 0, [], "propagated")],
+                [FactRow("X", "throw g:2:3", [], False)],
+                [HandlerRow("c", [])])],
+        Diversity(0, {b: 0.0 for b in DIVERSITY_BUCKETS}))
+    assert_writer_matches_json_dumps(empty)
+    assert_writer_matches_json_dumps(ProjectReport(
+        "p", Totals(0, 0, 0, 0), [],
+        Diversity(3, {b: 1 / 3 for b in DIVERSITY_BUCKETS})))
+
+
+def test_writer_on_figure_one(fig1_result):
+    assert_writer_matches_json_dumps(fig1_result.report)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_writer_on_cyclic_corpora(tmp_path, seed):
+    corpus = generate_corpus(seed, cyclic=True, max_methods=30)
+    (tmp_path / "gen").mkdir()
+    (tmp_path / "gen" / "App.java").write_text(render_app(corpus))
+    (tmp_path / "gen" / "Exceptions.java").write_text(
+        render_exceptions(corpus))
+    platform = parse_platform_document(platform_document(corpus), "gen")
+    for transitive in (False, True):
+        result = analyze_project(tmp_path, platform,
+                                 Config(transitive_origins=transitive),
+                                 name="gen")
+        assert result.report.try_blocks
+        assert_writer_matches_json_dumps(result.report)
