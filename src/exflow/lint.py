@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import partition_recoverability
 from .config import Config
-from .model import SemanticModel
-from .report import TryBundle
+from .model import Recoverability, SemanticModel
+from .report import TryBundle, _Memo
 from .syntax.ast import SourcePosition
 
 RULE_RECOVERABLE_PROPAGATED = "RecoverablePropagated"
@@ -38,10 +37,12 @@ class LintFinding:
 def lint(bundles: list[TryBundle], config: Config,
          model: SemanticModel) -> list[LintFinding]:
     findings: list[LintFinding] = []
+    recoverable = _Memo(lambda tid: model.recoverability_of(tid)
+                        is Recoverability.POTENTIALLY_RECOVERABLE)
     for bundle in bundles:
         analysis = bundle.analysis
-        recoverable, _ = partition_recoverability(analysis.propagated, model)
-        for tid in sorted({f.type for f in recoverable}):
+        types = {f.type for f in analysis.propagated}
+        for tid in sorted(t for t in types if recoverable[t]):
             findings.append(LintFinding(
                 RULE_RECOVERABLE_PROPAGATED, analysis.position, tid,
                 f"potentially recoverable {tid} propagates unhandled "

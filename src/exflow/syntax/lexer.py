@@ -1,10 +1,11 @@
 """Tokenizer for the supported Java subset.
 
 One compiled master regex does the scanning: each token class is a named
-group, and ``finditer`` walks the source match by match. Maximal munch
-comes from the order of the alternatives (floats before ints, longer
-punctuators before their prefixes); a last one-character group catches
-what no class matches. Line and column are worked out from offsets.
+group, and ``finditer`` walks the source match by match, each match taking
+the whitespace before its token. Maximal munch comes from the order of the
+alternatives (floats before ints, longer punctuators before their
+prefixes); a last one-character group catches what no class matches. Line
+and column are worked out from offsets.
 
 Comments never enter the token stream; they are collected on the side with
 their positions and character offsets so the parser can attach doc comments
@@ -14,7 +15,7 @@ to declarations and ordinary comments to their nearest enclosing block.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .ast import Comment, SourcePosition
 from .errors import ParseError
@@ -50,21 +51,30 @@ _PUNCT = [
 
 _DIGITS = r"\d[\d_]*"
 _EXPONENT = r"[eE][+-]?\d+"
-# Alternatives are tried in order and the first that matches wins, so each
-# class comes before any class that matches a prefix of its tokens.
-_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
-    ("ws", r"[ \t\r\n\f]+"),
-    ("comment", r"//[^\n]*|/\*.*?\*/"),
-    ("unclosed", r"/\*"),
-    ("ident", r"(?:[^\W\d]|\$)[\w$]*"),
-    ("float", rf"(?:{_DIGITS})?\.{_DIGITS}(?:{_EXPONENT})?[lLfFdD]?"
-              rf"|{_DIGITS}(?:{_EXPONENT}[lLfFdD]?|[fFdD])"),
-    ("int", rf"0[xXbB]\w*|{_DIGITS}[lL]?"),
-    ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
-    ("char", r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"),
-    ("punct", "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))),
-    ("bad", r"."),
-)), re.DOTALL)
+# One match is a run of whitespace and then a token, a comment or the end
+# of the source, so whitespace costs no match of its own. Alternatives are
+# tried in order and the first that matches wins, so each class comes
+# before any class that matches a prefix of its tokens. After the
+# whitespace, the end or the last, one-character group always matches, so
+# no group is ever tried on a whitespace character.
+_TOKEN = re.compile(r"[ \t\r\n\f]*(?:" + "|".join(
+    f"(?P<{kind}>{pattern})" for kind, pattern in (
+        ("comment", r"//[^\n]*|/\*.*?\*/"),
+        ("unclosed", r"/\*"),
+        ("ident", r"(?:[^\W\d]|\$)[\w$]*"),
+        ("float", rf"(?:{_DIGITS})?\.{_DIGITS}(?:{_EXPONENT})?[lLfFdD]?"
+                  rf"|{_DIGITS}(?:{_EXPONENT}[lLfFdD]?|[fFdD])"),
+        ("int", rf"0[xXbB]\w*|{_DIGITS}[lL]?"),
+        ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
+        ("char", r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"),
+        ("punct", "|".join(
+            map(re.escape, sorted(_PUNCT, key=len, reverse=True)))),
+        ("eof", r"\Z"),
+        ("bad", r"."),
+    )) + ")", re.DOTALL)
+
+# comments_before of a token that follows no comment; shared, never mutated
+_NO_COMMENTS: Sequence[int] = ()
 
 _UNTERMINATED = {
     "/*": "unterminated block comment",
@@ -89,37 +99,51 @@ class LexedSource:
 
     def __init__(self, tokens: list[Token], comments: list[Comment],
                  comment_spans: list[tuple[int, int]],
-                 comments_before: list[list[int]], file: str):
+                 comments_before: list[Sequence[int]], file: str):
         self.tokens = tokens
         self.comments = comments
         self.comment_spans = comment_spans  # (start, end) offsets per comment
         # for each token index, indices of comments between it and the
-        # previous token
+        # previous token (one shared empty tuple when there are none)
         self.comments_before = comments_before
         self.file = file
+
+
+# builds a Token without the Python-level __new__ that NamedTuple adds
+_new_tuple = tuple.__new__
 
 
 def tokenize(source: str, file: str) -> LexedSource:
     tokens: list[Token] = []
     comments: list[Comment] = []
     comment_spans: list[tuple[int, int]] = []
-    comments_before: list[list[int]] = []
-    pending: list[int] = []
+    comments_before: list[Sequence[int]] = []
+    pending: Sequence[int] = _NO_COMMENTS
     line = 1
     line_start = 0  # offset of the first character of the current line
+    end = 0  # end of the previous match
 
     for match in _TOKEN.finditer(source):
         kind = match.lastgroup
-        text = match.group()
-        start = match.start()
+        start = match.start(kind)
+        newlines = source.count("\n", end, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", end, start) + 1
+        end = match.end()
         column = start - line_start + 1
+        if kind == "eof":
+            break
+        text = source[start:end]
         if kind == "comment":
             is_doc = text.startswith("/**") and len(text) > 4
             comments.append(
                 Comment(text, SourcePosition(file, line, column), is_doc))
-            comment_spans.append((start, match.end()))
+            comment_spans.append((start, end))
+            if not pending:
+                pending = []
             pending.append(len(comments) - 1)
-        elif kind != "ws":
+        else:
             if kind == "ident":
                 if text in KEYWORDS:
                     kind = "kw"
@@ -132,15 +156,14 @@ def tokenize(source: str, file: str) -> LexedSource:
                 message = _UNTERMINATED.get(
                     text, f"unexpected character {text!r}")
                 raise ParseError(message, SourcePosition(file, line, column))
-            tokens.append(Token(kind, text, line, column, start))
+            tokens.append(_new_tuple(Token, (kind, text, line, column, start)))
             comments_before.append(pending)
-            pending = []
-        # whitespace, a comment, or a string or char with a backslash-newline
+            pending = _NO_COMMENTS
+        # a block comment, or a string or char with a backslash-newline
         if "\n" in text:
             line += text.count("\n")
             line_start = start + text.rindex("\n") + 1
 
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1,
-                        len(source)))
+    tokens.append(Token("eof", "", line, column, end))
     comments_before.append(pending)
     return LexedSource(tokens, comments, comment_spans, comments_before, file)

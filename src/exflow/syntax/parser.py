@@ -34,6 +34,8 @@ _BINARY_LEVELS = [
     ("<", ">", "<=", ">=", "instanceof"), ("<<", ">>", ">>>"),
     ("+", "-"), ("*", "/", "%"),
 ]
+_BINARY_LEVEL = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 
 def parse_compilation_unit(source: str, file: str) -> CompilationUnit:
@@ -701,9 +703,6 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def _expression(self) -> Expr:
-        return self._assignment()
-
-    def _assignment(self) -> Expr:
         lam = self._maybe_lambda()
         if lam is not None:
             return lam
@@ -711,7 +710,7 @@ class _Parser:
         tok = self._cur()
         if tok.kind == "punct" and tok.text in _ASSIGN_OPS:
             self._advance()
-            return Assignment(tok.text, left, self._assignment())
+            return Assignment(tok.text, left, self._expression())
         return left
 
     def _maybe_lambda(self) -> Optional[Lambda]:
@@ -764,20 +763,25 @@ class _Parser:
         if self._accept("?"):
             if_true = self._expression()
             self._expect(":")
-            if_false = self._assignment()
+            if_false = self._expression()
             return Conditional(expr, if_true, if_false)
         return expr
 
-    def _binary(self, level: int) -> Expr:
-        if level == len(_BINARY_LEVELS):
-            return self._unary()
-        left = self._binary(level + 1)
-        ops = _BINARY_LEVELS[level]
+    def _binary(self, min_level: int) -> Expr:
+        # Precedence climbing: one loop takes every operator whose level is
+        # at least min_level, each with a right operand of tighter operators
+        # only. The levels met along the loop never rise, as with one loop
+        # per level; that matters after `instanceof`, whose right side is a
+        # type, so a tighter operator after it is not taken here.
+        left = self._unary()
+        max_level = len(_BINARY_LEVELS)
         while True:
             tok = self._cur()
-            if tok.text not in ops or tok.kind not in ("punct", "kw"):
+            level = _BINARY_LEVEL.get(tok.text)
+            if level is None or not min_level <= level <= max_level:
                 return left
             self._advance()
+            max_level = level
             if tok.text == "instanceof":
                 left = InstanceOf(left, self._type_name())
                 if self._cur().kind == "ident":
@@ -1022,11 +1026,24 @@ def _render_chain(expr: Expr) -> str:
 
 
 def _attach_comments(lexed: LexedSource, blocks: list[Block]) -> None:
+    """Give each comment to the innermost block whose span holds it.
+
+    One sweep: comments come in order of offset, and every block that
+    starts before a comment is pushed on a stack in order of start. A block
+    that ends before a comment ends before every later one too, so it is
+    popped for good; the top of the stack is then the block with the
+    latest start that holds the comment. Among blocks with the same start
+    (a block parsed again after backtracking), the first parsed is pushed
+    last and so takes the comment.
+    """
+    ordered = sorted(reversed(blocks), key=lambda block: block.span[0])
+    stack: list[Block] = []
+    pushed = 0
     for comment, (start, end) in zip(lexed.comments, lexed.comment_spans):
-        innermost: Optional[Block] = None
-        for block in blocks:
-            if block.span[0] < start and end <= block.span[1]:
-                if innermost is None or block.span[0] > innermost.span[0]:
-                    innermost = block
-        if innermost is not None:
-            innermost.comments.append(comment)
+        while pushed < len(ordered) and ordered[pushed].span[0] < start:
+            stack.append(ordered[pushed])
+            pushed += 1
+        while stack and stack[-1].span[1] < end:
+            stack.pop()
+        if stack:
+            stack[-1].comments.append(comment)

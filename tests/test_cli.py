@@ -1,10 +1,17 @@
 """Command-line behavior and exit codes."""
 
+import gc
 import json
 
 import pytest
 
+from _corpus import (
+    generate_corpus, platform_document, render_app, render_exceptions,
+)
+from exflow import cli
 from exflow.cli import main
+from exflow.driver import analyze_project
+from exflow.model import parse_platform_document
 
 DEMO = (
     "package demo;\n"
@@ -155,15 +162,21 @@ def test_strict_promotes_parse_errors(capsys, tmp_path, jre_mini_path):
     assert "error:" in err
 
 
-NESTED = ("class Deep { int f() { return " + "(" * 80 + "1" + ")" * 80
-          + "; } }\n").encode()
+def nested_parentheses(depth):
+    return ("class Deep { int f() { return " + "(" * depth + "1"
+            + ")" * depth + "; } }\n")
+
+
+# deeper than the parser can follow under the default recursion limit on
+# every supported Python
+NESTED = nested_parentheses(1000).encode()
 
 
 @pytest.mark.parametrize("name, content, reason", [
     ("Latin.java", b'class L { String s = "caf\xe9"; }\n',
      "not valid UTF-8: byte 0xe9 at offset 25"),
     ("Deep.java", NESTED, "nesting too deep"),
-], ids=["not-utf8", "nested-80-deep"])
+], ids=["not-utf8", "nested-1000-deep"])
 def test_undecodable_or_deep_file_is_a_parse_error(
         capsys, tmp_path, jre_mini_path, name, content, reason):
     project = write_demo(tmp_path)
@@ -178,6 +191,17 @@ def test_undecodable_or_deep_file_is_a_parse_error(
                           "--platform", str(jre_mini_path), "--strict")
     assert code == 3
     assert f"error: {project / name}: {reason}" in err
+
+
+def test_150_nested_parentheses_are_analyzed(capsys, tmp_path,
+                                             jre_mini_path):
+    project = write_demo(tmp_path)
+    (project / "Deep.java").write_text(nested_parentheses(150))
+    code, out, err = run(capsys, "analyze", "--project", str(project),
+                         "--platform", str(jre_mini_path), "--strict")
+    assert code == 0
+    assert "skipped" not in err
+    assert json.loads(out)["totals"]["methods"] == 3
 
 
 # 1500 string terms make a left-deep chain of 1499 Binary nodes, deeper than
@@ -324,3 +348,64 @@ def test_usage_errors_from_argparse(capsys):
     capsys.readouterr()
     assert main(["analyze"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tree", ["fig1", "cyclic-corpus"])
+def test_analysis_makes_no_reference_cycles(tmp_path, fig1_dir, jre_mini,
+                                            tree):
+    # main pauses the cyclic collector because of this; if garbage shows
+    # up here, that pause must be reconsidered
+    if tree == "fig1":
+        project, platform = fig1_dir, jre_mini
+    else:
+        corpus = generate_corpus(3, cyclic=True, max_methods=30)
+        project = tmp_path
+        (project / "gen").mkdir()
+        (project / "gen" / "App.java").write_text(render_app(corpus))
+        (project / "gen" / "Exceptions.java").write_text(
+            render_exceptions(corpus))
+        platform = parse_platform_document(platform_document(corpus), "gen")
+    flags = gc.get_debug()
+    kept = len(gc.garbage)
+    gc.collect()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        result = analyze_project(project, platform)
+        gc.collect()
+        garbage = [type(o).__name__ for o in gc.garbage[kept:]]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[kept:]
+    assert gc.get_debug() == flags
+    assert result.report.try_blocks
+    assert garbage == []
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(
+        capsys, monkeypatch, tmp_path, fig1_dir, jre_mini_path, collecting):
+    project = write_demo(tmp_path)
+    (project / "Broken.java").write_text("class {{{")
+    platform = ["--platform", str(jre_mini_path)]
+    seen = []
+
+    def failing_analysis(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    was_collecting = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for argv, expected in [
+                (["analyze", "--project", str(fig1_dir)], 0),
+                (["analyze", "--project", str(tmp_path / "missing")], 2),
+                (["analyze", "--project", str(project), "--strict"], 3)]:
+            assert run(capsys, *argv, *platform)[0] == expected
+            assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "analyze_project", failing_analysis)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["analyze", "--project", str(fig1_dir), *platform])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+    assert seen == [False]

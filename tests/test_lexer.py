@@ -126,3 +126,44 @@ def test_unexpected_character_has_position():
         with pytest.raises(ParseError) as info:
             tokenize(f"a\n  {char}2", "T.java")
         assert str(info.value) == f"T.java:2:3: unexpected character {char!r}"
+
+
+def positions(source):
+    lexed = tokenize(source, "T.java")
+    tokens = [(t.kind, t.text, t.line, t.column, t.offset,
+               list(lexed.comments_before[i]))
+              for i, t in enumerate(lexed.tokens)]
+    comments = [(c.text, c.position.line, c.position.column)
+                for c in lexed.comments]
+    return tokens, comments
+
+
+@pytest.mark.parametrize("source, tokens, comments", [
+    ("", [("eof", "", 1, 1, 0, [])], []),
+    (" \t\n\f\r\n  ", [("eof", "", 3, 3, 8, [])], []),
+    ("\r\n\r\na\r\n",
+     [("ident", "a", 3, 1, 4, []), ("eof", "", 4, 1, 7, [])], []),
+    ("\f\f\ta\t\t\tb\f\n\f c",
+     [("ident", "a", 1, 4, 3, []), ("ident", "b", 1, 8, 7, []),
+      ("ident", "c", 2, 3, 12, []), ("eof", "", 2, 4, 13, [])], []),
+    ("a\n// last",
+     [("ident", "a", 1, 1, 0, []), ("eof", "", 2, 8, 9, [0])],
+     [("// last", 2, 1)]),
+    ("a // last\n",
+     [("ident", "a", 1, 1, 0, []), ("eof", "", 2, 1, 10, [0])],
+     [("// last", 1, 3)]),
+    ("a /* last\n */",
+     [("ident", "a", 1, 1, 0, []), ("eof", "", 2, 4, 13, [0])],
+     [("/* last\n */", 1, 3)]),
+    ("/** doc */\n// two\n  class",
+     [("kw", "class", 3, 3, 20, [0, 1]), ("eof", "", 3, 8, 25, [])],
+     [("/** doc */", 1, 1), ("// two", 2, 1)]),
+    ("\n\n/* x */ a /* y */",
+     [("ident", "a", 3, 9, 10, [0]), ("eof", "", 3, 18, 19, [1])],
+     [("/* x */", 3, 1), ("/* y */", 3, 11)]),
+], ids=["empty", "whitespace-only", "crlf", "form-feed-and-tab-runs",
+        "line-comment-last", "line-comment-then-newline",
+        "block-comment-last", "comments-before-first-token",
+        "comments-around-one-token"])
+def test_whitespace_and_comments_at_the_edges(source, tokens, comments):
+    assert positions(source) == (tokens, comments)

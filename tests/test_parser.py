@@ -1,11 +1,20 @@
+import gc
+import random
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exflow.syntax import ParseError, parse_compilation_unit
 from exflow.syntax.ast import (
-    Block, Cast, ExprStmt, FieldAccess, IfStmt, Invocation, Lambda,
-    LocalDecl, LoopStmt, Name, NewInstance, OpaqueThrow, ReturnStmt,
-    ThrowStmt, TryStmt, VariableRef, CONSTRUCTOR_NAME,
+    Assignment, Binary, Block, Cast, Conditional, ExprStmt, FieldAccess,
+    IfStmt, InstanceOf, Invocation, Lambda, LocalDecl, LoopStmt, Name,
+    NewInstance, OpaqueThrow, ReturnStmt, ThrowStmt, TryStmt, Unary,
+    VariableRef, CONSTRUCTOR_NAME,
 )
+from exflow.syntax.lexer import tokenize
+from exflow.syntax.parser import _Parser, _attach_comments
 from exflow.syntax.walk import iter_statements, try_statements_in
 
 
@@ -308,3 +317,247 @@ def test_position_of_try_statement():
     (trystmt,) = try_statements_in(only_method(unit).body.statements)
     assert trystmt.position.line == 3
     assert trystmt.id == "T.java:3:5"
+
+
+# ---------------------------------------------------------------------------
+# expressions: minimal parentheses against full parentheses
+# ---------------------------------------------------------------------------
+
+# binary operators from the loosest level to the tightest, as in the Java
+# grammar; `instanceof` shares the relational level
+LEVELS = [["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="],
+          ["<", ">", "<=", ">=", "instanceof"], ["<<", ">>", ">>>"],
+          ["+", "-"], ["*", "/", "%"]]
+# binding strength: assignment 0, conditional 1, binary levels 2.., unary
+# and names above them
+ASSIGN, COND = 0, 1
+BINDING = {op: level + 2 for level, ops in enumerate(LEVELS) for op in ops}
+UNARY = len(LEVELS) + 2
+ATOM = UNARY + 1
+
+
+def binding(expr):
+    if isinstance(expr, Binary):
+        return BINDING[expr.op]
+    if isinstance(expr, InstanceOf):
+        return BINDING["instanceof"]
+    if isinstance(expr, Unary):
+        return UNARY
+    if isinstance(expr, Conditional):
+        return COND
+    if isinstance(expr, Assignment):
+        return ASSIGN
+    return ATOM
+
+
+def render(expr, full):
+    """Source for expr with only the parentheses the grammar needs, or
+    (full) with every compound operand parenthesized."""
+    def operand(child, needs_parens):
+        text = render(child, full)
+        if needs_parens or (full and binding(child) != ATOM):
+            return f"({text})"
+        return text
+
+    here = binding(expr)
+    if isinstance(expr, Name):
+        return expr.identifier
+    if isinstance(expr, Binary):
+        return (f"{operand(expr.left, binding(expr.left) < here)} {expr.op} "
+                f"{operand(expr.right, binding(expr.right) <= here)}")
+    if isinstance(expr, InstanceOf):
+        # array types, so that a following `<` cannot read as type
+        # arguments; the minimal form also binds a pattern variable
+        pattern = "" if full else " v"
+        return (f"{operand(expr.operand, binding(expr.operand) < here)} "
+                f"instanceof {expr.type_name}{pattern}")
+    if isinstance(expr, Unary):
+        return (f"{expr.op} "
+                f"{operand(expr.operand, binding(expr.operand) < here)}")
+    if isinstance(expr, Conditional):
+        return (f"{operand(expr.condition, binding(expr.condition) <= COND)}"
+                f" ? {operand(expr.if_true, False)}"
+                f" : {operand(expr.if_false, False)}")
+    return (f"{operand(expr.target, binding(expr.target) <= COND)} "
+            f"{expr.op} {operand(expr.value, False)}")
+
+
+BINARY_OPS = [op for ops in LEVELS for op in ops if op != "instanceof"]
+EXPRESSIONS = st.recursive(
+    st.sampled_from("abcde").map(Name),
+    lambda children: st.one_of(
+        st.builds(Binary, st.sampled_from(BINARY_OPS), children, children),
+        st.builds(Unary, st.sampled_from(["+", "-", "!", "~", "++", "--"]),
+                  children),
+        st.builds(InstanceOf, children,
+                  st.sampled_from(["T[]", "int[][]", "p.Q[]"])),
+        st.builds(Conditional, children, children, children),
+        st.builds(Assignment, st.sampled_from(["=", "+=", ">>>=", "^="]),
+                  children, children)),
+    max_leaves=12)
+
+
+def parse_returned(text):
+    (stmt,) = body_of(f"return {text};")
+    return stmt.value
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXPRESSIONS)
+def test_minimal_and_full_parentheses_parse_alike(expr):
+    minimal = render(expr, full=False)
+    assert parse_returned(minimal) == expr, minimal
+    full = render(expr, full=True)
+    assert parse_returned(full) == expr, full
+
+
+def test_instanceof_leaves_tighter_operators_unbound():
+    # after `instanceof`, only operators of the relational level or looser
+    # ones may follow; a tighter one is left over
+    assert parse_returned("a instanceof T < b == c") == Binary(
+        "==", Binary("<", InstanceOf(Name("a"), "T"), Name("b")), Name("c"))
+    with pytest.raises(ParseError, match="expected ';', found '\\+'"):
+        parse_returned("a == b instanceof T + c")
+
+
+# ---------------------------------------------------------------------------
+# comment attachment against the one-block-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def reference_attach_comments(lexed, blocks):
+    """Quadratic reference: for each comment, scan every block."""
+    for comment, (start, end) in zip(lexed.comments, lexed.comment_spans):
+        innermost = None
+        for block in blocks:
+            if block.span[0] < start and end <= block.span[1]:
+                if innermost is None or block.span[0] > innermost.span[0]:
+                    innermost = block
+        if innermost is not None:
+            innermost.comments.append(comment)
+
+
+def attachment(source, attach):
+    lexed = tokenize(source, "T.java")
+    parser = _Parser(lexed)
+    parser.parse_unit()
+    attach(lexed, parser.blocks)
+    return [(block.span, [(c.text, str(c.position)) for c in block.comments])
+            for block in parser.blocks]
+
+
+def random_statements(rng, depth):
+    def comment():
+        return rng.choice(["", "", "// c\n", "/* c */", "/** d */"])
+
+    def body():
+        return random_statements(rng, depth + 1)
+
+    parts = [comment()]
+    for _ in range(rng.randint(0, 3)):
+        kinds = ["call", "block", "if", "lambda", "anonymous", "switch"]
+        kind = rng.choice(kinds if depth < 3 else ["call"])
+        if kind == "call":
+            parts.append("f();")
+        elif kind == "block":
+            parts.append("{" + body() + "}")
+        elif kind == "if":
+            parts.append("if (a) {" + body() + "} else {" + body() + "}")
+        elif kind == "lambda":
+            parts.append("run(() -> {" + body() + "});")
+        elif kind == "anonymous":
+            parts.append("run(new Runnable() { public void run() {"
+                         + body() + "} });")
+        else:
+            parts.append("switch (a) { case 1: " + body()
+                         + " default: {" + body() + "} }")
+        parts.append(comment())
+    return rng.choice(["", " ", "\n"]).join(parts)
+
+
+EDGE_CASES = [
+    # nested blocks, siblings, and comments right inside and outside braces
+    "class C { // type\n void m() {/* first */ if (a) {// then\n f(); }"
+    "/* between */{ g(); /* last */}/* after */ } /* after m */ }",
+    "class C { void m() { run(() -> { /* lambda */ f(); }); } }",
+    "class C { void m() { run(new Runnable() { /* anon */ public void run()"
+    " { /* run */ } }); } }",
+    "class C { void m() { switch (a) { /* selector */ case 1: /* one */ f();"
+    " default: { /* block */ } } } }",
+    "/* before */ class C { void m() {} void n() { /* n */ } } // tail",
+]
+
+
+@pytest.mark.parametrize("source", EDGE_CASES, ids=[
+    "nested-and-siblings", "lambda", "anonymous-class", "switch",
+    "outside-every-block"])
+def test_comment_attachment_matches_reference_on_edges(source):
+    swept = attachment(source, _attach_comments)
+    assert swept == attachment(source, reference_attach_comments)
+    assert any(comments for _span, comments in swept)
+
+
+def test_comment_attachment_matches_reference_on_random_nesting():
+    attached = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        source = ("class C { void m() {" + random_statements(rng, 0)
+                  + "} /* between */ void n() {" + random_statements(rng, 0)
+                  + "} }")
+        swept = attachment(source, _attach_comments)
+        assert swept == attachment(source, reference_attach_comments), source
+        attached += sum(len(comments) for _span, comments in swept)
+    assert attached > 500
+
+
+def test_comment_attachment_matches_reference_on_arbitrary_spans():
+    # the sweep relies only on the comments coming in order, so any block
+    # spans, even overlapping or equal ones, attach as the reference does
+    source = "a /* 1 */ b // 2\n c /** 3 */ d /* 4 */"
+    lexed = tokenize(source, "T.java")
+    position = lexed.tokens[0].position("T.java")
+    offsets = sorted({o + d for span in lexed.comment_spans for o in span
+                      for d in (-1, 0, 1)})
+    rng = random.Random(0)
+    for _ in range(500):
+        spans = [tuple(sorted(rng.sample(offsets, 2)))
+                 for _ in range(rng.randint(1, 6))]
+        spans += rng.sample(spans, rng.randint(0, len(spans)))
+        swept = [Block([], position, span) for span in spans]
+        reference = [Block([], position, span) for span in spans]
+        _attach_comments(lexed, swept)
+        reference_attach_comments(lexed, reference)
+        assert ([b.comments for b in swept]
+                == [b.comments for b in reference]), spans
+
+
+def big_class(methods):
+    return "class Big {\n" + "".join(
+        f"  int m{i}(int x) {{ // m{i}\n"
+        f"    if (x > {i}) {{ x--; }} /* e */ return x; }}\n"
+        for i in range(methods)) + "}\n"
+
+
+def best_parse_seconds(source, repeats=3):
+    # timed with the cyclic collector paused, as the command runs, so that
+    # collections over a growing heap do not count as parse time
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            unit = parse_compilation_unit(source, "Big.java")
+            best = min(best, time.perf_counter() - start)
+    finally:
+        if collecting:
+            gc.enable()
+    assert len(unit.types[0].methods[-1].body.comments) == 2
+    return best
+
+
+def test_parse_time_grows_linearly_with_file_size():
+    # a linear parse takes about 4 times as long for 4 times the methods;
+    # comment attachment that scans every block per comment takes about 19
+    small = best_parse_seconds(big_class(1000))
+    large = best_parse_seconds(big_class(4000))
+    assert large <= 8 * small, (small, large)
