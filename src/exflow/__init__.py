@@ -8,7 +8,7 @@ lint findings.
 
 from .classify import (
     Action, HandlerClassification, Strategy, classify_actions,
-    classify_strategy, partition_recoverability,
+    classify_strategy,
 )
 from .config import Config, ConfigError, load_config
 from .driver import AnalysisResult, analyze_project
@@ -72,7 +72,6 @@ __all__ = [
     "load_platform_model",
     "merge_platform_models",
     "parse_compilation_unit",
-    "partition_recoverability",
     "report_from_json",
     "report_to_json",
     "validate_platform_closure",

@@ -1,4 +1,4 @@
-"""Handler classification: strategies, actions, and recoverability.
+"""Handler classification: strategies and actions.
 
 A handled exception whose type exactly equals the matching caught type is
 handled by the Specific strategy; a strict supertype match is Subsumption.
@@ -9,11 +9,11 @@ of twelve detectable behaviors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .config import Config
-from .model import SemanticModel, Recoverability, method_id_str
+from .model import SemanticModel, method_id_str
 from .syntax.ast import (
     Block, CatchClause, ContinueStmt, ExprStmt, FieldAccess, Invocation,
     Name, NewInstance, ReturnStmt, Statement, ThrowStmt, TryStmt,
@@ -23,9 +23,6 @@ from .syntax.walk import (
     iter_expressions, nested_blocks, statement_children,
     statement_expressions,
 )
-
-if TYPE_CHECKING:
-    from .flow import PossibleException
 
 
 class Strategy(enum.Enum):
@@ -52,7 +49,6 @@ class Action(enum.Enum):
 class HandlerClassification:
     catch_id: str
     actions: frozenset[Action]
-    strategies: dict["PossibleException", Strategy] = field(default_factory=dict)
 
 
 def classify_strategy(fact_type: str, matched_type: str,
@@ -66,21 +62,6 @@ def classify_strategy(fact_type: str, matched_type: str,
     if fact_type == matched_type:
         return Strategy.SPECIFIC
     return Strategy.SUBSUMPTION
-
-
-def partition_recoverability(
-        propagated: Iterable["PossibleException"],
-        model: SemanticModel) -> tuple[set, set]:
-    """Split propagated facts into (potentially recoverable, potentially
-    unrecoverable) by their exception type."""
-    recoverable: set = set()
-    unrecoverable: set = set()
-    for fact in propagated:
-        if model.recoverability_of(fact.type) is Recoverability.POTENTIALLY_RECOVERABLE:
-            recoverable.add(fact)
-        else:
-            unrecoverable.add(fact)
-    return recoverable, unrecoverable
 
 
 def classify_actions(clause: CatchClause, config: Optional[Config] = None,

@@ -46,23 +46,24 @@ def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,
             diagnostics.append(f"skipped unparseable file: {exc}")
     model = build_semantic_model(units, platform)
     sets = compute_method_exception_sets(model)
-    bundles = []
-    for method, stmt in model.try_blocks():
-        analysis = analyze_try_block(stmt, sets, model, method)
-        handlers = []
-        for clause in stmt.catches:
-            strategies = {
-                fact: strategy
-                for fact, (hit, _matched, strategy) in analysis.handled.items()
-                if hit is clause}
-            handlers.append(HandlerClassification(
-                clause.id, classify_actions(clause, config, model),
-                strategies))
-        bundles.append(TryBundle(stmt, analysis, handlers, method.unit))
+    bundles = try_bundles(model, sets, config)
     report = aggregate_project(bundles, model, name or root.name,
                                transitive=config.transitive_origins)
     diagnostics.extend(model.diagnostics)
     return AnalysisResult(model, sets, bundles, report, diagnostics)
+
+
+def try_bundles(model: SemanticModel,
+                sets: dict[MethodId, MethodExceptionSet],
+                config: Optional[Config] = None) -> list[TryBundle]:
+    """Partition every try statement of the model and classify the actions
+    of each of its handlers."""
+    return [TryBundle(stmt, analyze_try_block(stmt, sets, model, method),
+                      [HandlerClassification(
+                          clause.id, classify_actions(clause, config, model))
+                       for clause in stmt.catches],
+                      method.unit)
+            for method, stmt in model.try_blocks()]
 
 
 def _parse_file(path: Path) -> CompilationUnit:

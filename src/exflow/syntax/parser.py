@@ -7,6 +7,12 @@ declarations, if, loops, return, continue and break. Generic type
 arguments are recognized and erased. Constructs outside the subset that
 carry control or calls (switch, synchronized, assert) are desugared into
 plain blocks so their invocations are not lost; annotations are skipped.
+
+Each choice between alternatives (declaration or expression, cast or
+parenthesized expression, foreach or classic for, typed or bare lambda
+parameter) is made by a lookahead that consumes nothing, and is final:
+nothing is parsed twice and no ParseError is caught, so a ParseError
+always means malformed input, found in one pass.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ _BINARY_LEVELS = [
 ]
 _BINARY_LEVEL = {
     op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
+# what may follow the first declared name of a local declaration
+_LOCAL_FOLLOW = ("=", ",", ";", "[")
 
 
 def parse_compilation_unit(source: str, file: str) -> CompilationUnit:
@@ -339,6 +348,31 @@ class _Parser:
                 self._skip_generics()
         return ".".join(parts) + self._array_dims()
 
+    def _typed_name(self) -> tuple[str, str]:
+        """Modifiers, a type and a name: the (type, name) of a declaration."""
+        self._skip_modifiers()
+        return self._type_name(), self._ident()
+
+    def _at_type(self) -> bool:
+        tok = self._cur()
+        return tok.kind == "ident" or (tok.kind == "kw" and tok.text in PRIMITIVE_TYPES)
+
+    def _declaration_ahead(self, follow: Optional[tuple[str, ...]]) -> bool:
+        """Whether modifiers, a type and a name start here, the name followed
+        by a token in follow (`[` only as `[]`; None admits any token).
+        Consumes nothing."""
+        start = self.pos
+        self._skip_modifiers()
+        found = False
+        if self._at_type():
+            self._type_name()
+            nxt = self._peek()
+            found = self._cur().kind == "ident" and (
+                follow is None or nxt.text in follow
+                and (nxt.text != "[" or self._peek(2).text == "]"))
+        self.pos = start
+        return found
+
     def _array_dims(self) -> str:
         dims = ""
         while self._at("[") and self._peek().text == "]":
@@ -455,16 +489,12 @@ class _Parser:
                 return self._switch_statement()
             if text == "assert":
                 return self._assert_statement()
-            if text == "final":
-                decl = self._try_local_decl()
-                if decl is None:
-                    raise self._error("expected a declaration after 'final'")
-                return decl
             if text in ("class", "interface", "enum"):
                 raise self._error("local type declarations are not supported")
-        decl = self._try_local_decl()
-        if decl is not None:
-            return decl
+        if self._declaration_ahead(_LOCAL_FOLLOW):
+            return self._local_decl()
+        if text == "final":
+            raise self._error("expected a declaration after 'final'")
         if (tok.kind == "ident" and self._peek().text == ":"
                 and self._peek().kind == "punct"):
             self._advance()
@@ -506,34 +536,25 @@ class _Parser:
     def _for_statement(self) -> LoopStmt:
         tok = self._advance()
         self._expect("(")
-        save = self.pos
-        try:
-            self._skip_modifiers()
-            type_name = self._type_name()
-            var_name = self._ident()
-            if not self._at(":"):
-                raise self._error("not a foreach header")
-            self._advance()
+        if self._declaration_ahead((":",)):
+            type_name, var_name = self._typed_name()
+            self._advance()  # ":"
             iterable = self._expression()
             self._expect(")")
             body = self._statement_required()
             var = LocalDecl([LocalVar(var_name, type_name)], tok.position(self.file))
             return LoopStmt("foreach", [var], None, [iterable], body,
                             tok.position(self.file))
-        except ParseError:
-            self.pos = save
         init: list[Statement] = []
-        if not self._accept(";"):
-            decl = self._try_local_decl()
-            if decl is not None:
-                init.append(decl)  # the declaration consumed the ';'
-            else:
+        if self._declaration_ahead(_LOCAL_FOLLOW):
+            init.append(self._local_decl())  # the declaration consumed the ';'
+        elif not self._accept(";"):
+            pos = self._cur().position(self.file)
+            init.append(ExprStmt(self._expression(), pos))
+            while self._accept(","):
                 pos = self._cur().position(self.file)
                 init.append(ExprStmt(self._expression(), pos))
-                while self._accept(","):
-                    pos = self._cur().position(self.file)
-                    init.append(ExprStmt(self._expression(), pos))
-                self._expect(";")
+            self._expect(";")
         condition = None if self._at(";") else self._expression()
         self._expect(";")
         update: list[Expr] = []
@@ -578,19 +599,14 @@ class _Parser:
         return TryStmt(body, catches, finally_block, tok.position(self.file))
 
     def _resource(self) -> Statement:
-        save = self.pos
         start = self._cur()
-        try:
-            self._skip_modifiers()
-            type_name = self._type_name()
-            name = self._ident()
-            self._expect("=")
-            value = self._expression()
-            return LocalDecl([LocalVar(name, type_name, value)],
-                             start.position(self.file))
-        except ParseError:
-            self.pos = save
-        return ExprStmt(self._expression(), start.position(self.file))
+        if not self._declaration_ahead(("=",)):
+            return ExprStmt(self._expression(), start.position(self.file))
+        type_name, name = self._typed_name()
+        self._advance()  # "="
+        value = self._expression()
+        return LocalDecl([LocalVar(name, type_name, value)],
+                         start.position(self.file))
 
     def _synchronized_statement(self) -> Block:
         tok = self._advance()
@@ -653,35 +669,23 @@ class _Parser:
         return Block(statements, tok.position(self.file),
                      (tok.offset, close_tok.offset + 1))
 
-    def _try_local_decl(self) -> Optional[LocalDecl]:
-        save = self.pos
+    def _local_decl(self) -> LocalDecl:
         start = self._cur()
-        try:
-            self._skip_modifiers()
-            type_name = self._type_name()
-            if self._cur().kind != "ident":
-                raise self._error("not a declaration")
-            if self._peek().text not in ("=", ",", ";", "["):
-                raise self._error("not a declaration")
-            declarations: list[LocalVar] = []
-            while True:
-                name = self._ident()
-                dims = ""
-                while self._at("["):
-                    self._advance()
-                    self._expect("]")
-                    dims += "[]"
-                initializer = None
-                if self._accept("="):
-                    initializer = self._array_init_or_expr(type_name)
-                declarations.append(LocalVar(name, type_name + dims, initializer))
-                if self._accept(","):
-                    continue
+        type_name, name = self._typed_name()
+        declarations: list[LocalVar] = []
+        while True:
+            dims = ""
+            while self._accept("["):
+                self._expect("]")
+                dims += "[]"
+            initializer = None
+            if self._accept("="):
+                initializer = self._array_init_or_expr(type_name)
+            declarations.append(LocalVar(name, type_name + dims, initializer))
+            if not self._accept(","):
                 self._expect(";")
                 return LocalDecl(declarations, start.position(self.file))
-        except ParseError:
-            self.pos = save
-            return None
+            name = self._ident()
 
     def _array_init_or_expr(self, type_hint: str) -> Expr:
         if self._at("{"):
@@ -738,14 +742,8 @@ class _Parser:
             self._advance()  # "("
             params: list[str] = []
             while not self._at(")"):
-                save = self.pos
-                try:
-                    self._skip_modifiers()
-                    self._type_name()
-                    params.append(self._ident())
-                except ParseError:
-                    self.pos = save
-                    params.append(self._ident())
+                typed = self._declaration_ahead(None)
+                params.append(self._typed_name()[1] if typed else self._ident())
                 if not self._accept(","):
                     break
             self._expect(")")
@@ -804,30 +802,27 @@ class _Parser:
         return self._postfix(self._primary())
 
     def _try_cast(self) -> Optional[Cast]:
-        save = self.pos
-        try:
-            self._advance()  # "("
-            type_name = self._type_name()
-            self._expect(")")
-            nxt = self._cur()
-            plain_primitive = type_name in PRIMITIVE_TYPES
-            ok = (nxt.kind in ("ident", "int", "float", "char", "string")
-                  or nxt.text in ("(", "!", "~")
-                  or (nxt.kind == "kw"
-                      and nxt.text in ("this", "super", "new", "true", "false", "null")))
-            if plain_primitive:
+        """A cast when `(` Type `)` and a token that can start its operand
+        come next; otherwise None, with nothing consumed."""
+        start = self.pos
+        self._advance()  # "("
+        type_name = self._type_name() if self._at_type() else ""
+        primitive = type_name in PRIMITIVE_TYPES
+        nxt = self._peek()
+        if type_name and self._at(")") and (
+                nxt.kind in ("ident", "int", "float", "char", "string")
+                or nxt.text in ("(", "!", "~")
+                or (nxt.kind == "kw"
+                    and nxt.text in ("this", "super", "new", "true", "false", "null"))
                 # (int) -x is a cast; (ref) -x would misread subtraction
-                ok = ok or nxt.text in ("+", "-", "++", "--")
-            if not ok:
-                raise self._error("not a cast")
-            if "." not in type_name and "[]" not in type_name \
-                    and not plain_primitive and type_name[0].islower():
-                # single lowercase name in parens is far more likely a variable
-                raise self._error("not a cast")
+                or primitive and nxt.text in ("+", "-", "++", "--")) and (
+                # a single lowercase name in parens is far more likely a variable
+                primitive or "." in type_name or "[]" in type_name
+                or not type_name[0].islower()):
+            self._advance()  # ")"
             return Cast(type_name, self._unary())
-        except ParseError:
-            self.pos = save
-            return None
+        self.pos = start
+        return None
 
     def _postfix(self, expr: Expr) -> Expr:
         while True:
@@ -1032,9 +1027,9 @@ def _attach_comments(lexed: LexedSource, blocks: list[Block]) -> None:
     starts before a comment is pushed on a stack in order of start. A block
     that ends before a comment ends before every later one too, so it is
     popped for good; the top of the stack is then the block with the
-    latest start that holds the comment. Among blocks with the same start
-    (a block parsed again after backtracking), the first parsed is pushed
-    last and so takes the comment.
+    latest start that holds the comment. The parser never yields two blocks
+    with the same start; should a caller pass such blocks, the first one
+    listed is pushed last and so takes the comment.
     """
     ordered = sorted(reversed(blocks), key=lambda block: block.span[0])
     stack: list[Block] = []

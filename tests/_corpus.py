@@ -13,7 +13,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from exflow.model import build_semantic_model, parse_platform_document
+from exflow.model import (
+    Recoverability, build_semantic_model, parse_platform_document,
+)
 from exflow.flow import compute_method_exception_sets
 from exflow.syntax import parse_compilation_unit
 
@@ -507,3 +509,20 @@ def oracle_cyclic(corpus: GenCorpus) -> dict[tuple, dict]:
         result[method_mid(corpus, start)] = {
             t: (frozenset(e[0]), frozenset(e[1])) for t, e in facts.items()}
     return result
+
+
+# ---------------------------------------------------------------------------
+# reference recoverability split; the analyzer asks recoverability_of per type
+# ---------------------------------------------------------------------------
+
+def partition_recoverability(propagated, model) -> tuple[set, set]:
+    """Split propagated facts into (potentially recoverable, potentially
+    unrecoverable) by their exception type."""
+    recoverable: set = set()
+    unrecoverable: set = set()
+    for fact in propagated:
+        if model.recoverability_of(fact.type) is Recoverability.POTENTIALLY_RECOVERABLE:
+            recoverable.add(fact)
+        else:
+            unrecoverable.add(fact)
+    return recoverable, unrecoverable

@@ -17,16 +17,15 @@ from pathlib import Path
 import pytest
 
 from exflow.classify import (
-    Action, HandlerClassification, Strategy, classify_actions,
-    classify_strategy,
+    Action, Strategy, classify_actions, classify_strategy,
 )
 from exflow.cli import main
-from exflow.driver import analyze_project
+from exflow.driver import analyze_project, try_bundles
 from exflow.flow import (
     EvidenceKind, analyze_try_block, compute_method_exception_sets,
 )
 from exflow.model import build_semantic_model, parse_platform_document
-from exflow.report import TryBundle, aggregate_project
+from exflow.report import aggregate_project
 from exflow.stats import wilcoxon_rank_sum
 from exflow.syntax import parse_compilation_unit
 from exflow.syntax.walk import try_statements_in
@@ -146,22 +145,13 @@ def test_criterion_04_partition_and_stacking(fig1_result):
         if not iter_tries(corpus):
             continue
         model, sets = build_corpus_model(corpus)
-        bundles = []
-        for method, stmt in model.try_blocks():
-            analysis = analyze_try_block(stmt, sets, model, method)
+        bundles = try_bundles(model, sets)
+        for bundle in bundles:
+            analysis = bundle.analysis
             handled = set(analysis.handled)
             propagated = set(analysis.propagated)
             assert handled | propagated == set(analysis.possible)
             assert handled.isdisjoint(propagated)
-            handlers = []
-            for clause in stmt.catches:
-                strategies = {
-                    fact: strategy for fact, (hit, _m, strategy)
-                    in analysis.handled.items() if hit is clause}
-                handlers.append(HandlerClassification(
-                    clause.id, classify_actions(clause, None, model),
-                    strategies))
-            bundles.append(TryBundle(stmt, analysis, handlers, method.unit))
             tries_checked += 1
         report = aggregate_project(bundles, model, "gen")
         for row in report.try_blocks:

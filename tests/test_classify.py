@@ -7,7 +7,6 @@ from exflow.classify import (
     Strategy,
     classify_actions,
     classify_strategy,
-    partition_recoverability,
 )
 from exflow.config import Config, config_from_dict
 from exflow.flow import EvidenceKind, LexicalThrowOrigin, PossibleException
@@ -15,6 +14,8 @@ from exflow.model import build_semantic_model, parse_platform_document
 from exflow.syntax import parse_compilation_unit
 from exflow.syntax.ast import SourcePosition
 from exflow.syntax.walk import try_statements_in
+
+from _corpus import partition_recoverability
 
 IOE = "java.io.IOException"
 RTE = "java.lang.RuntimeException"

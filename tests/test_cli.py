@@ -2,8 +2,12 @@
 
 import gc
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from _corpus import (
     generate_corpus, platform_document, render_app, render_exceptions,
@@ -12,6 +16,7 @@ from exflow import cli
 from exflow.cli import main
 from exflow.driver import analyze_project
 from exflow.model import parse_platform_document
+from exflow.syntax import ParseError, parse_compilation_unit
 
 DEMO = (
     "package demo;\n"
@@ -202,6 +207,45 @@ def test_150_nested_parentheses_are_analyzed(capsys, tmp_path,
     assert code == 0
     assert "skipped" not in err
     assert json.loads(out)["totals"]["methods"] == 3
+
+
+FIG1 = (Path(__file__).parent / "data" / "fig1" / "Example.java").read_text()
+FIG1_LINES = FIG1.splitlines(keepends=True)
+cut = st.integers(0, len(FIG1))
+damaged_fig1 = st.one_of(
+    cut.map(lambda end: FIG1[:end]),
+    st.tuples(cut, cut).map(lambda ends: FIG1[:ends[0]] + FIG1[ends[1]:]),
+    st.tuples(st.integers(0, len(FIG1_LINES) - 1), st.integers(2, 4)).map(
+        lambda line: "".join(FIG1_LINES[:line[0]]
+                             + FIG1_LINES[line[0]:line[0] + 1] * line[1]
+                             + FIG1_LINES[line[0] + 1:])),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damaged_fig1)
+def test_damaged_fig1_is_analyzed_or_skipped(capsys, jre_mini_path, source):
+    # truncated, spliced and line-duplicated copies of fig1: the command
+    # either analyzes the file or skips it with a diagnostic, never a crash
+    try:
+        parse_compilation_unit(source, "Example.java")
+        parses = True
+    except ParseError:
+        parses = False
+    with tempfile.TemporaryDirectory() as tmp:
+        project = Path(tmp) / "fig1"
+        project.mkdir()
+        (project / "Example.java").write_text(source)
+        report = Path(tmp) / "report.json"
+        code = main(["analyze", "--project", str(project),
+                     "--platform", str(jre_mini_path), "--out", str(report)])
+        doc = json.loads(report.read_text())
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "Traceback" not in err
+    assert ("skipped unparseable file" in err) is not parses
+    assert doc["project"] == "fig1"
 
 
 # 1500 string terms make a left-deep chain of 1499 Binary nodes, deeper than

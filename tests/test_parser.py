@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -561,3 +563,143 @@ def test_parse_time_grows_linearly_with_file_size():
     small = best_parse_seconds(big_class(1000))
     large = best_parse_seconds(big_class(4000))
     assert large <= 8 * small, (small, large)
+
+
+# -- lookahead decisions: each choice is made once, before consuming -------
+
+def shape(node):
+    """A node as nested tuples (class name, then field values), leaving out
+    positions, spans and comments."""
+    if isinstance(node, list):
+        return [shape(item) for item in node]
+    if dataclasses.is_dataclass(node):
+        return (type(node).__name__,) + tuple(
+            shape(getattr(node, f.name)) for f in dataclasses.fields(node)
+            if f.name not in ("position", "span", "comments"))
+    return node
+
+
+A, B, C, X, Y = (("Name", n) for n in "abcxy")
+ONE = ("Literal", "1")
+EMPTY = ("Block", [])
+
+# one case per lookahead site: the statement and the tree it must give, or
+# the message of the ParseError it must raise
+DECISIONS = {
+    # declaration or expression statement: `[` after the name counts only
+    # as `[]`
+    "a<b> c[0] = 1;": ("ExprStmt", ("Assignment", "=", (
+        "Binary", ">", ("Binary", "<", A, B),
+        ("ArrayAccess", C, ("Literal", "0"))), ONE)),
+    "int[] a = {1};": ("LocalDecl", [
+        ("LocalVar", "a", "int[]", ("NewArray", "int[]", [], [ONE]))]),
+    "final T x;": ("LocalDecl", [("LocalVar", "x", "T", None)]),
+    # foreach or classic for
+    "for (final Map.Entry<K, V> e : m) ;": (
+        "LoopStmt", "foreach", [("LocalDecl", [
+            ("LocalVar", "e", "Map.Entry", None)])],
+        None, [("Name", "m")], EMPTY),
+    "for (int i = 0; i < n; i++) ;": (
+        "LoopStmt", "for", [("LocalDecl", [
+            ("LocalVar", "i", "int", ("Literal", "0"))])],
+        ("Binary", "<", ("Name", "i"), ("Name", "n")),
+        [("Unary", "post++", ("Name", "i"))], EMPTY),
+    "for (x = 1, y = 1; ; ) ;": (
+        "LoopStmt", "for", [("ExprStmt", ("Assignment", "=", X, ONE)),
+                            ("ExprStmt", ("Assignment", "=", Y, ONE))],
+        None, [], EMPTY),
+    # a resource that declares, and one that names a variable
+    "try (Foo r = open()) { }": ("TryStmt", ("Block", [("LocalDecl", [
+        ("LocalVar", "r", "Foo", ("Invocation", None, "open", []))])]),
+        [], None),
+    "try (r) { }": ("TryStmt", ("Block", [("ExprStmt", ("Name", "r"))]),
+                    [], None),
+    # typed and bare lambda parameters
+    "x = (int a, b) -> a;": ("ExprStmt", ("Assignment", "=", X, (
+        "Lambda", ["a", "b"], A))),
+    # cast or parenthesized expression
+    "x = (Foo) y;": ("ExprStmt", ("Assignment", "=", X, ("Cast", "Foo", Y))),
+    "x = (foo) y;": "expected ';', found 'y'",
+    "x = (foo) + y;": ("ExprStmt", ("Assignment", "=", X, (
+        "Binary", "+", ("Name", "foo"), Y))),
+    "x = (int) -y;": ("ExprStmt", ("Assignment", "=", X, (
+        "Cast", "int", ("Unary", "-", Y)))),
+    "x = (Foo) -y;": ("ExprStmt", ("Assignment", "=", X, (
+        "Binary", "-", ("Name", "Foo"), Y))),
+    # once taken, a cast is final: its operand is not reread as `int++`
+    "x = (int) ++;": "expected expression, found ';'",
+}
+
+
+@pytest.mark.parametrize("statement", list(DECISIONS))
+def test_lookahead_decisions(statement):
+    expected = DECISIONS[statement]
+    if isinstance(expected, str):
+        with pytest.raises(ParseError, match=expected):
+            body_of(statement)
+    else:
+        assert shape(body_of(statement)[0]) == expected
+
+
+def nested_declarations(depth, resource=False):
+    """A method whose innermost statement, `x +;`, is malformed and sits
+    depth lambdas deep, each lambda in the initializer of a declaration or
+    of a try resource."""
+    inner = "x +;"
+    for i in range(depth):
+        if resource:
+            inner = f"try (Map<K, V> r{i} = open(() -> {{ {inner} }})) {{ }}"
+        else:
+            inner = f"List<String> a = f(() -> {{ {inner} }});"
+    return "class N { void m() { " + inner + " } }"
+
+
+JAVA_FILES = sorted(Path(__file__).parent.glob("**/*.java"))
+
+
+@pytest.mark.parametrize("source", [
+    *(path.read_text() for path in JAVA_FILES),
+    nested_declarations(10),
+    nested_declarations(10, resource=True),
+], ids=[*(path.name for path in JAVA_FILES), "nested-10", "resources-10"])
+def test_no_expression_is_parsed_twice(monkeypatch, source):
+    starts = []
+    expression = _Parser._expression
+
+    def entered(self):
+        starts.append(self.pos)
+        return expression(self)
+
+    monkeypatch.setattr(_Parser, "_expression", entered)
+    try:
+        parse(source)
+    except ParseError:
+        pass  # the nested sources are malformed on purpose
+    assert starts and len(starts) == len(set(starts))
+
+
+@pytest.mark.parametrize("resource", [False, True],
+                         ids=["declarations", "resources"])
+def test_deeply_nested_malformed_declaration_fails_fast(resource):
+    source = nested_declarations(20, resource)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert time.perf_counter() - start < 1.0
+    fault = source.index("x +;") + 3
+    assert info.value.position.column == fault + 1
+    assert info.value.message == "expected expression, found ';'"
+
+
+@pytest.mark.parametrize("statement", [
+    "int x = 1 +;",
+    "for (String s : names) { x +; }",
+    "try (Map<K, V> r = open(x +)) { }",
+], ids=["declaration-initializer", "foreach-body", "resource"])
+def test_error_points_at_the_fault(statement):
+    # the fault is the token after the dangling `+`
+    with pytest.raises(ParseError) as info:
+        body_of(statement)
+    fault = statement.index("+") + 1
+    assert info.value.position.column == len("class T { void m() { ") + fault + 1
+    assert info.value.message == f"expected expression, found {statement[fault]!r}"

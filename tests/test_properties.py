@@ -3,19 +3,19 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exflow.classify import (
-    Action, HandlerClassification, Strategy, classify_actions,
-    partition_recoverability,
-)
+from exflow.classify import Action, Strategy, classify_actions
 from exflow.config import Config
+from exflow.driver import try_bundles
 from exflow.flow import analyze_try_block
-from exflow.report import TryBundle, aggregate_project, report_to_json
+from exflow.report import aggregate_project, report_to_json
 from exflow.stats import wilcoxon_rank_sum
 from exflow.syntax import parse_compilation_unit
 from exflow.syntax.javadoc import extract_doc_throws
 from exflow.syntax.walk import try_statements_in
 
-from _corpus import build_corpus_model, generate_corpus, iter_tries
+from _corpus import (
+    build_corpus_model, generate_corpus, iter_tries, partition_recoverability,
+)
 
 # -- doc-comment extraction --------------------------------------------------
 
@@ -149,16 +149,8 @@ def test_analysis_deterministic_for_a_seed(seed):
     for _ in range(2):
         corpus = generate_corpus(seed, max_methods=8)
         model, sets = build_corpus_model(corpus)
-        bundles = []
-        for method, stmt in model.try_blocks():
-            analysis = analyze_try_block(stmt, sets, model, method)
-            handlers = [
-                HandlerClassification(
-                    clause.id, classify_actions(clause, None, model))
-                for clause in stmt.catches]
-            bundles.append(TryBundle(stmt, analysis, handlers, method.unit))
         reports.append(report_to_json(
-            aggregate_project(bundles, model, "gen")))
+            aggregate_project(try_bundles(model, sets), model, "gen")))
     assert reports[0] == reports[1]
 
 
