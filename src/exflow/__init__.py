@@ -13,7 +13,7 @@ from .classify import (
 from .config import Config, ConfigError, load_config
 from .driver import AnalysisResult, analyze_project
 from .flow import (
-    CallSiteOrigin, EvidenceKind, LexicalThrowOrigin, MethodExceptionSet,
+    CallSiteOrigin, EvidenceKind, LexicalThrowOrigin, MethodFact,
     PossibleException, TryBlockAnalysis, analyze_try_block,
     attribute_sources, compute_method_exception_sets,
 )
@@ -42,7 +42,7 @@ __all__ = [
     "HandlerClassification",
     "LexicalThrowOrigin",
     "LintFinding",
-    "MethodExceptionSet",
+    "MethodFact",
     "ModelError",
     "ParseError",
     "PlatformModel",

@@ -9,10 +9,8 @@ from typing import Optional, Union
 
 from .classify import HandlerClassification, classify_actions
 from .config import Config
-from .flow import (
-    MethodExceptionSet, analyze_try_block, compute_method_exception_sets,
-)
-from .model import MethodId, PlatformModel, SemanticModel, build_semantic_model
+from .flow import MethodSets, analyze_try_block, compute_method_exception_sets
+from .model import PlatformModel, SemanticModel, build_semantic_model
 from .report import ProjectReport, TryBundle, aggregate_project
 from .syntax import CompilationUnit, ParseError, parse_compilation_unit
 
@@ -20,7 +18,7 @@ from .syntax import CompilationUnit, ParseError, parse_compilation_unit
 @dataclass
 class AnalysisResult:
     model: SemanticModel
-    method_sets: dict[MethodId, MethodExceptionSet]
+    method_sets: MethodSets
     bundles: list[TryBundle]
     report: ProjectReport
     diagnostics: list[str] = field(default_factory=list)
@@ -53,8 +51,7 @@ def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,
     return AnalysisResult(model, sets, bundles, report, diagnostics)
 
 
-def try_bundles(model: SemanticModel,
-                sets: dict[MethodId, MethodExceptionSet],
+def try_bundles(model: SemanticModel, sets: MethodSets,
                 config: Optional[Config] = None) -> list[TryBundle]:
     """Partition every try statement of the model and classify the actions
     of each of its handlers."""

@@ -19,9 +19,16 @@ A worklist over reverse call edges computes it: every corpus method is
 evaluated once in sorted id order, and each time a method's set changes,
 its callers are queued again in sorted order. The order never depends on
 hashing. Sets only grow, so the worklist empties on recursive and mutually
-recursive call graphs too. A try block's possible set is read off the same
-summary: the facts of its body's own sites plus what each try nested in it
-propagates, worked out bottom-up for all tries of a method at once.
+recursive call graphs too. A method's set maps each exception type to one
+MethodFact (evidence kinds and contributing methods), and an evaluation
+merges straight into it, type by type; the fixed point builds no
+per-origin fact objects.
+
+A try block's possible set is read off the same summary: the facts of its
+body's own sites plus what each try nested in it propagates, worked out
+bottom-up for all tries of a method at once. Only this partition builds a
+PossibleException per exception type and origin, as the reports list
+them.
 
 Evidence accumulates through call chains: a fact arriving at a try block
 carries every evidence kind observed anywhere along its paths, and facts
@@ -105,10 +112,8 @@ class MethodFact:
     sources: frozenset[MethodId]
 
 
-@dataclass
-class MethodExceptionSet:
-    method: MethodId
-    facts: dict[str, MethodFact]  # exception type -> merged fact
+# per method, exception type -> merged fact
+MethodSets = dict[MethodId, dict[str, MethodFact]]
 
 
 @dataclass
@@ -160,7 +165,7 @@ class MethodSummary:
     tries: dict[str, TryRegion]  # by try id
     callees: set[MethodId] = field(default_factory=set)
     # the method sets the tries' analyses were computed under
-    partitioned_under: Optional[dict[MethodId, MethodExceptionSet]] = None
+    partitioned_under: Optional[MethodSets] = None
 
 
 def method_summary(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
@@ -170,18 +175,16 @@ def method_summary(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
     return method.summary
 
 
-def compute_method_exception_sets(
-        model: SemanticModel) -> dict[MethodId, MethodExceptionSet]:
+def compute_method_exception_sets(model: SemanticModel) -> MethodSets:
     """Fixed-point possible-exception sets for every method in the table."""
-    sets: dict[MethodId, MethodExceptionSet] = {}
+    sets: MethodSets = {}
     for mid, entry in sorted(model.method_table.items()):
         if isinstance(entry, ExternalMethod):
-            facts = {tid: MethodFact(frozenset({EvidenceKind.EXTERNAL_DOCUMENTATION}),
-                                     frozenset({mid}))
-                     for tid in entry.documented}
-            sets[mid] = MethodExceptionSet(mid, facts)
+            sets[mid] = {tid: MethodFact(
+                frozenset({EvidenceKind.EXTERNAL_DOCUMENTATION}), frozenset({mid}))
+                for tid in entry.documented}
         else:
-            sets[mid] = MethodExceptionSet(mid, {})
+            sets[mid] = {}
 
     corpus = model.corpus_methods()
     # corpus is sorted, so every callers list is too
@@ -196,8 +199,8 @@ def compute_method_exception_sets(
         method = worklist.popleft()
         queued.discard(method.id)
         facts = _evaluate_method(method, sets, model)
-        if facts != sets[method.id].facts:
-            sets[method.id] = MethodExceptionSet(method.id, facts)
+        if facts != sets[method.id]:
+            sets[method.id] = facts
             for caller in callers.get(method.id, ()):
                 if caller.id not in queued:
                     queued.add(caller.id)
@@ -205,8 +208,7 @@ def compute_method_exception_sets(
     return sets
 
 
-def analyze_try_block(t: TryStmt, sets: dict[MethodId, MethodExceptionSet],
-                      model: SemanticModel,
+def analyze_try_block(t: TryStmt, sets: MethodSets, model: SemanticModel,
                       method: CorpusMethod) -> TryBlockAnalysis:
     """Partition the try body's possible exceptions into handled (with the
     first matching clause and its strategy) and propagated.
@@ -261,7 +263,7 @@ def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
         if tid is None:
             model.diagnostics.append(f"{decl.position}: {complaint} {name}")
         else:
-            _merge_method_fact(own, tid, frozenset({kind}), itself)
+            _merge_method_fact(own, tid, MethodFact(frozenset({kind}), itself))
 
     summary = MethodSummary(own, Region(), {})
     statements = decl.body.statements if decl.body is not None else []
@@ -316,57 +318,42 @@ def _caught_ids(model: SemanticModel, clause: CatchClause,
     return tuple(tid for tid in resolved if tid in model.types)
 
 
-def _evaluate_method(method: CorpusMethod,
-                     sets: dict[MethodId, MethodExceptionSet],
+def _evaluate_method(method: CorpusMethod, sets: MethodSets,
                      model: SemanticModel) -> dict[str, MethodFact]:
-    """One application of the fixed-point equation to one method."""
+    """One application of the fixed-point equation to one method: its own
+    facts, plus each lexical throw and each callee fact that no try around
+    it in the method catches, merged by exception type."""
     summary = method_summary(model, method)
+    ancestors = model.ancestors
     facts = dict(summary.own)
-    for fact in _reaching(summary.body, sets, model.ancestors).values():
-        if isinstance(fact.origin, CallSiteOrigin):
-            sources = fact.source_methods
-        else:
-            sources = frozenset({method.id})
-        _merge_method_fact(facts, fact.type, fact.evidence, sources)
-    return facts
-
-
-def _reaching(region: Region, sets: dict[MethodId, MethodExceptionSet],
-              ancestors: dict[str, frozenset[str]]) -> dict[tuple, PossibleException]:
-    """Facts reaching a region: its own throws and its callees' facts, and
-    those of each nested try's body that no try in between catches."""
-    facts: dict[tuple, PossibleException] = {}
-    stack: list[tuple[Region, frozenset[str]]] = [(region, frozenset())]
+    thrown = MethodFact(_THROWN, frozenset({method.id}))
+    stack: list[tuple[Region, frozenset[str]]] = [(summary.body, frozenset())]
     while stack:
         region, caught = stack.pop()
-        for fact in region.throws:
-            if ancestors[fact.type].isdisjoint(caught):
-                _add(facts, fact)
+        for throw in region.throws:
+            if ancestors[throw.type].isdisjoint(caught):
+                _merge_method_fact(facts, throw.type, thrown)
         for origin in region.calls:
-            via = frozenset({origin.callee})
-            for tid, callee_fact in sets[origin.callee].facts.items():
+            for tid, callee_fact in sets[origin.callee].items():
                 if ancestors[tid].isdisjoint(caught):
-                    _add(facts, PossibleException(tid, origin, callee_fact.evidence,
-                                                  via, callee_fact.sources))
+                    _merge_method_fact(facts, tid, callee_fact)
         for inner in region.tries:
             stack.append((inner.body, caught | inner.caught))
     return facts
 
 
-def _site_facts(region: Region, sets: dict[MethodId, MethodExceptionSet]
+def _site_facts(region: Region, sets: MethodSets
                 ) -> Iterator[PossibleException]:
-    """The facts of the region's own throw and call sites, unfiltered
-    (_reaching filters a callee's facts before building them)."""
+    """The facts of the region's own throw and call sites, unfiltered."""
     yield from region.throws
     for origin in region.calls:
         via = frozenset({origin.callee})
-        for tid, callee_fact in sets[origin.callee].facts.items():
+        for tid, callee_fact in sets[origin.callee].items():
             yield PossibleException(tid, origin, callee_fact.evidence, via,
                                     callee_fact.sources)
 
 
-def _partition_tries(summary: MethodSummary,
-                     sets: dict[MethodId, MethodExceptionSet],
+def _partition_tries(summary: MethodSummary, sets: MethodSets,
                      model: SemanticModel) -> None:
     """Analyze every try of the method bottom-up: the facts reaching a try
     body are its own sites' facts plus what each try nested in it
@@ -379,7 +366,7 @@ def _partition_tries(summary: MethodSummary,
         stack.extend(region.body.tries)
     for region in reversed(order):  # every try after the tries it holds
         # two sites with one origin call one callee and yield equal facts,
-        # so the set merges them as _add would
+        # which the set keeps once
         possible = frozenset(_site_facts(region.body, sets))
         if region.body.tries:
             possible = possible.union(*(inner.analysis.propagated
@@ -412,27 +399,14 @@ def _partition(region: TryRegion, possible: frozenset[PossibleException],
                             propagated)
 
 
-def _add(facts: dict, fact: PossibleException) -> None:
-    key = (fact.type, fact.origin)
-    existing = facts.get(key)
-    if existing is None:
-        facts[key] = fact
-    else:
-        facts[key] = PossibleException(
-            fact.type, fact.origin,
-            existing.evidence | fact.evidence,
-            existing.origin_methods | fact.origin_methods,
-            existing.source_methods | fact.source_methods)
-
-
 def _merge_method_fact(facts: dict[str, MethodFact], tid: str,
-                       evidence: frozenset, sources: frozenset) -> None:
+                       fact: MethodFact) -> None:
     existing = facts.get(tid)
     if existing is None:
-        facts[tid] = MethodFact(evidence, sources)
+        facts[tid] = fact
     else:
-        facts[tid] = MethodFact(existing.evidence | evidence,
-                                existing.sources | sources)
+        facts[tid] = MethodFact(existing.evidence | fact.evidence,
+                                existing.sources | fact.sources)
 
 
 def _first_match(above: frozenset[str],

@@ -399,7 +399,6 @@ def build_semantic_model(units: list[CompilationUnit],
                 f"platform type {ptype.name} has undeclared superclass "
                 f"{ptype.superclass}")
 
-    _check_acyclic(model)
     _index_hierarchy(model)
 
     # method table: corpus declarations first, then external platform entries
@@ -445,33 +444,22 @@ def build_semantic_model(units: list[CompilationUnit],
     return model
 
 
-def _check_acyclic(model: SemanticModel) -> None:
-    settled: set[str] = set()
-    for start in model.types:
-        path: list[str] = []
-        on_path: set[str] = set()
-        cur: Optional[str] = start
-        while cur is not None and cur not in settled:
-            if cur in on_path:
-                cycle = path[path.index(cur):]
-                raise ModelError(
-                    "cycle in type hierarchy: " + " -> ".join(cycle + [cur]))
-            on_path.add(cur)
-            path.append(cur)
-            entry = model.types.get(cur)
-            cur = entry.superclass if entry else None
-        settled.update(path)
-
-
 def _index_hierarchy(model: SemanticModel) -> None:
     """Fill model.ancestors and the kinds, walking each superclass chain
-    only up to the first type already indexed. The hierarchy is acyclic;
-    a superclass outside model.types ends the chain."""
+    only up to the first type already indexed; a superclass outside
+    model.types ends the chain. A type met twice on one chain closes a
+    cycle, which is a ModelError."""
     for start in model.types:
         chain: list[str] = []
+        on_chain: set[str] = set()
         cur: Optional[str] = start
         while cur in model.types and cur not in model.ancestors:
+            if cur in on_chain:
+                cycle = chain[chain.index(cur):] + [cur]
+                raise ModelError(
+                    "cycle in type hierarchy: " + " -> ".join(cycle))
             chain.append(cur)
+            on_chain.add(cur)
             cur = model.types[cur].superclass
         above = model.ancestors.get(cur, frozenset())
         kind = model._kinds.get(cur)

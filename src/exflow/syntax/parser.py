@@ -631,10 +631,11 @@ class _Parser:
             if self._cur().kind == "eof":
                 raise self._error("unterminated switch body")
             if self._at("case"):
+                # a label is no lambda: `case A -> f();` is a label and a body
                 self._advance()
-                self._expression()
+                self._conditional()
                 while self._accept(","):
-                    self._expression()
+                    self._conditional()
                 if not self._accept(":"):
                     self._expect("->")
                     stmt = self._statement()
@@ -792,9 +793,6 @@ class _Parser:
         if tok.kind == "punct" and tok.text in ("+", "-", "!", "~", "++", "--"):
             self._advance()
             return Unary(tok.text, self._unary())
-        lam = self._maybe_lambda()
-        if lam is not None:
-            return lam
         if tok.text == "(":
             cast = self._try_cast()
             if cast is not None:
@@ -820,7 +818,7 @@ class _Parser:
                 primitive or "." in type_name or "[]" in type_name
                 or not type_name[0].islower()):
             self._advance()  # ")"
-            return Cast(type_name, self._unary())
+            return Cast(type_name, self._maybe_lambda() or self._unary())
         self.pos = start
         return None
 

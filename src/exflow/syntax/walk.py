@@ -114,19 +114,3 @@ def statement_children(stmt: Statement) -> Iterator[Statement]:
                            ContinueStmt, BreakStmt)):
         return
 
-
-def iter_statements(statements: list[Statement]) -> Iterator[Statement]:
-    """All statements in a region, depth-first, nested regions included."""
-    for stmt in statements:
-        yield stmt
-        yield from iter_statements(list(statement_children(stmt)))
-        for expr in statement_expressions(stmt):
-            for block in nested_blocks(expr):
-                yield block
-                yield from iter_statements(block.statements)
-
-
-def try_statements_in(statements: list[Statement]) -> Iterator[TryStmt]:
-    for stmt in iter_statements(statements):
-        if isinstance(stmt, TryStmt):
-            yield stmt

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from exflow.model import (
     Recoverability, build_semantic_model, parse_platform_document,
 )
 from exflow.flow import compute_method_exception_sets
 from exflow.syntax import parse_compilation_unit
+from exflow.syntax.ast import Statement, TryStmt
+from exflow.syntax.walk import (
+    nested_blocks, statement_children, statement_expressions,
+)
 
 PACKAGE = "gen"
 APP = f"{PACKAGE}.App"
@@ -526,3 +530,24 @@ def partition_recoverability(propagated, model) -> tuple[set, set]:
         else:
             unrecoverable.add(fact)
     return recoverable, unrecoverable
+
+
+# ---------------------------------------------------------------------------
+# reference statement walks; the analyzer indexes tries while it resolves
+# ---------------------------------------------------------------------------
+
+def iter_statements(statements: list[Statement]) -> Iterator[Statement]:
+    """All statements in a region, depth-first, nested regions included."""
+    for stmt in statements:
+        yield stmt
+        yield from iter_statements(list(statement_children(stmt)))
+        for expr in statement_expressions(stmt):
+            for block in nested_blocks(expr):
+                yield block
+                yield from iter_statements(block.statements)
+
+
+def try_statements_in(statements: list[Statement]) -> Iterator[TryStmt]:
+    for stmt in iter_statements(statements):
+        if isinstance(stmt, TryStmt):
+            yield stmt

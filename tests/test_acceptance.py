@@ -28,12 +28,11 @@ from exflow.model import build_semantic_model, parse_platform_document
 from exflow.report import aggregate_project
 from exflow.stats import wilcoxon_rank_sum
 from exflow.syntax import parse_compilation_unit
-from exflow.syntax.walk import try_statements_in
 
 from _corpus import (
     build_corpus_model, generate_corpus, iter_tries, method_mid,
     namespace_source, oracle_acyclic, oracle_cyclic, oracle_try_possible,
-    platform_document_multi,
+    platform_document_multi, try_statements_in,
 )
 
 IOE = "java.io.IOException"
@@ -55,7 +54,7 @@ def _method_facts(sets, corpus):
         mid = method_mid(corpus, i)
         out[mid] = {
             tid: (frozenset(k.value for k in fact.evidence), fact.sources)
-            for tid, fact in sets[mid].facts.items()}
+            for tid, fact in sets[mid].items()}
     return out
 
 

@@ -13,9 +13,8 @@ from exflow.flow import EvidenceKind, LexicalThrowOrigin, PossibleException
 from exflow.model import build_semantic_model, parse_platform_document
 from exflow.syntax import parse_compilation_unit
 from exflow.syntax.ast import SourcePosition
-from exflow.syntax.walk import try_statements_in
 
-from _corpus import partition_recoverability
+from _corpus import partition_recoverability, try_statements_in
 
 IOE = "java.io.IOException"
 RTE = "java.lang.RuntimeException"

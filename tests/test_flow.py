@@ -16,6 +16,7 @@ from exflow.flow import (
     CallSiteOrigin,
     EvidenceKind,
     LexicalThrowOrigin,
+    PossibleException,
     analyze_try_block,
     attribute_sources,
     compute_method_exception_sets,
@@ -65,7 +66,7 @@ def mid(name, arity=0):
 
 
 def facts_of(sets, name):
-    return sets[mid(name)].facts
+    return sets[mid(name)]
 
 
 def first_try(model):
@@ -171,7 +172,7 @@ def test_finally_throw_escapes():
 def test_rethrow_of_variable_contributes_nothing():
     _, sets = build(
         "class A { void f(Exception e) { throw e; } }\n")
-    assert sets[mid("f", 1)].facts == {}
+    assert sets[mid("f", 1)] == {}
 
 
 def test_opaque_throw_keeps_call_effects():
@@ -192,7 +193,7 @@ def test_external_documentation(jre_mini):
         "class A { void f() { Paths.getPath(\"x\"); } }\n", "A.java")
     model = build_semantic_model([unit], jre_mini)
     sets = compute_method_exception_sets(model)
-    facts = sets[("app.A", "f", 0)].facts
+    facts = sets[("app.A", "f", 0)]
     ipe = "java.nio.file.InvalidPathException"
     assert facts[ipe].evidence == {ED}
     assert facts[ipe].sources == {("java.nio.file.Paths", "getPath", 1)}
@@ -243,15 +244,15 @@ def test_figure_one_method_sets(fig1_result):
     sets = fig1_result.method_sets
     ex = "fig1.Example"
     ipe = "java.nio.file.InvalidPathException"
-    c_facts = sets[(ex, "C", 0)].facts
+    c_facts = sets[(ex, "C", 0)]
     assert c_facts[IOE].evidence == {TS, TD, DC}
     assert c_facts[IOE].sources == {(ex, "C", 0)}
-    b_facts = sets[(ex, "B", 0)].facts
+    b_facts = sets[(ex, "B", 0)]
     assert b_facts[IOE].evidence == {TS, TD, DC}
     assert b_facts[IOE].sources == {(ex, "B", 0), (ex, "C", 0)}
     assert b_facts[ipe].evidence == {ED}
     assert b_facts[ipe].sources == {("java.nio.file.Paths", "getPath", 1)}
-    a_facts = sets[(ex, "A", 0)].facts
+    a_facts = sets[(ex, "A", 0)]
     assert set(a_facts) == {IOE}
 
 
@@ -436,6 +437,30 @@ def count_evaluations(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("tree", ["fig1", "cyclic-corpus"])
+def test_fixed_point_builds_no_fact_objects(monkeypatch, fig1_result, tree):
+    # an evaluation merges type -> MethodFact; PossibleException is for the
+    # per-try partition only (and for the throw sites a summary lists)
+    if tree == "fig1":
+        model = fig1_result.model
+    else:
+        model, _sets = build_corpus_model(
+            generate_corpus(3, cyclic=True, max_methods=30))
+    for method in model.corpus_methods():
+        flow.method_summary(model, method)
+    built = []
+    real = flow.PossibleException
+
+    def counting(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(flow, "PossibleException", counting)
+    sets = compute_method_exception_sets(model)
+    assert built == []
+    assert any(sets[method.id] for method in model.corpus_methods())
+
+
 def test_call_ring_takes_linear_work(monkeypatch):
     # m000 -> m001 -> ... -> m799 -> m000; names sort in call order, so
     # facts travel against the evaluation order, one hop per round-robin
@@ -543,13 +568,46 @@ def test_unknown_thrown_type_is_diagnosed_once(tmp_path):
 
 # -- bottom-up partition against a per-try walk -----------------------------
 
+def _reaching(region, sets, ancestors):
+    """Facts reaching a region: its own throws and its callees' facts, and
+    those of each nested try's body that no try in between catches."""
+    facts = {}
+    stack = [(region, frozenset())]
+    while stack:
+        region, caught = stack.pop()
+        for fact in region.throws:
+            if ancestors[fact.type].isdisjoint(caught):
+                _add(facts, fact)
+        for origin in region.calls:
+            via = frozenset({origin.callee})
+            for tid, callee_fact in sets[origin.callee].items():
+                if ancestors[tid].isdisjoint(caught):
+                    _add(facts, PossibleException(tid, origin, callee_fact.evidence,
+                                                  via, callee_fact.sources))
+        for inner in region.tries:
+            stack.append((inner.body, caught | inner.caught))
+    return facts
+
+
+def _add(facts, fact):
+    key = (fact.type, fact.origin)
+    existing = facts.get(key)
+    if existing is None:
+        facts[key] = fact
+    else:
+        facts[key] = PossibleException(
+            fact.type, fact.origin,
+            existing.evidence | fact.evidence,
+            existing.origin_methods | fact.origin_methods,
+            existing.source_methods | fact.source_methods)
+
+
 def walked_partition(model, sets, method, stmt):
     """The partition of one try from a walk of its own body that shares no
     work with any other try: _reaching over the body region, then the
     first matching clause per fact in _fact_key order."""
     region = flow.method_summary(model, method).tries[stmt.id]
-    possible = frozenset(
-        flow._reaching(region.body, sets, model.ancestors).values())
+    possible = frozenset(_reaching(region.body, sets, model.ancestors).values())
     handled = {}
     for fact in sorted(possible, key=flow._fact_key):
         match = flow._first_match(model.ancestors[fact.type], region.clauses)

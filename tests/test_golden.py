@@ -1,0 +1,72 @@
+"""Report bytes pinned: every output of `analyze` and `lint` on two trees
+compared byte for byte with the files under tests/data/golden.
+
+The trees are fig1 and the project of a seeded cyclic `_corpus.py` corpus
+(seed 3: recursive calls, nested tries, external methods). Each command
+runs through cli.main from the directory that holds the tree, so the paths
+in the reports are relative and the same on every machine. A change that
+alters a report on purpose updates these files in the same commit.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from _corpus import generate_corpus, platform_document_multi, render_app
+from exflow.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+CSV_TABLES = ("actions.csv", "diversity.csv", "sources.csv",
+              "strategies.csv", "tryblocks.csv")
+
+
+def _make_tree(tree: str, root: Path, fig1_dir: Path,
+               jre_mini_path: Path) -> Path:
+    """The project directory `root/tree` and the platform file to run on."""
+    project = root / tree
+    if tree == "fig1":
+        shutil.copytree(fig1_dir, project)
+        return Path(shutil.copy(jre_mini_path, root / "platform.json"))
+    # the CLI checks that the platform declares every exception its methods
+    # document, so the corpus exception types go into the platform file
+    corpus = generate_corpus(3, cyclic=True, max_methods=30)
+    (project / "gen").mkdir(parents=True)
+    (project / "gen" / "App.java").write_text(render_app(corpus))
+    platform = root / "platform.json"
+    platform.write_text(json.dumps(platform_document_multi([("gen", corpus)])))
+    return platform
+
+
+def outputs(tree: str, root: Path, fig1_dir: Path, jre_mini_path: Path,
+            capsys) -> dict[str, bytes]:
+    """Every pinned output of one tree, by golden file name."""
+    platform = _make_tree(tree, root, fig1_dir, jre_mini_path).name
+    common = ["--project", tree, "--platform", platform]
+    assert main(["analyze", *common, "--out", "analyze.json"]) == 0
+    assert main(["analyze", *common, "--transitive-origins",
+                 "--out", "transitive.json"]) == 0
+    assert main(["analyze", *common, "--format", "csv", "--out", "csv"]) == 0
+    capsys.readouterr()
+    assert main(["lint", *common]) == 0
+    found = {"lint.txt": capsys.readouterr().out.encode()}
+    for name in ("analyze.json", "transitive.json"):
+        found[name] = (root / name).read_bytes()
+    assert sorted(p.name for p in (root / "csv").iterdir()) == list(CSV_TABLES)
+    for name in CSV_TABLES:
+        found[f"csv/{name}"] = (root / "csv" / name).read_bytes()
+    return found
+
+
+@pytest.mark.parametrize("tree", ["fig1", "cyclic"])
+def test_outputs_match_golden_bytes(tree, tmp_path, monkeypatch, capsys,
+                                    fig1_dir, jre_mini_path):
+    monkeypatch.chdir(tmp_path)
+    found = outputs(tree, tmp_path, fig1_dir, jre_mini_path, capsys)
+    expected = {str(path.relative_to(GOLDEN / tree)): path.read_bytes()
+                for path in sorted((GOLDEN / tree).rglob("*"))
+                if path.is_file()}
+    assert sorted(found) == sorted(expected)
+    for name, data in expected.items():
+        assert found[name] == data, f"{tree}/{name} differs from its golden"

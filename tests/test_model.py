@@ -16,14 +16,13 @@ from exflow.model import (
     parse_signature,
     validate_platform_closure,
 )
-from _corpus import generate_corpus, render_app
-from exflow.driver import analyze_project
-from exflow.syntax import parse_compilation_unit, walk
-from exflow.syntax.ast import Invocation, NewInstance
-from exflow.syntax.walk import (
-    iter_expressions, iter_statements, statement_expressions,
-    try_statements_in,
+from _corpus import (
+    generate_corpus, iter_statements, render_app, try_statements_in,
 )
+from exflow.driver import analyze_project
+from exflow.syntax import parse_compilation_unit
+from exflow.syntax.ast import Invocation, NewInstance
+from exflow.syntax.walk import iter_expressions, statement_expressions
 
 
 def base_types():
@@ -262,6 +261,19 @@ def test_hierarchy_cycle_rejected():
         model_from(["package p;\n"
                     "class A extends B {}\n"
                     "class B extends A {}\n"], platform())
+
+
+@pytest.mark.parametrize("types, cycle", [
+    ("class A extends A {}", "p.A -> p.A"),
+    ("class A {} class B extends C {} class C extends B {}",
+     "p.B -> p.C -> p.B"),
+    ("class A extends B {} class B extends C {} class C extends B {}",
+     "p.B -> p.C -> p.B"),
+], ids=["self", "apart-from-the-first-type", "through-another-type"])
+def test_hierarchy_cycle_is_named(types, cycle):
+    with pytest.raises(ModelError) as info:
+        model_from(["package p;\n" + types], platform())
+    assert str(info.value) == f"cycle in type hierarchy: {cycle}"
 
 
 def test_exception_universe_includes_corpus_subtypes():
@@ -564,16 +576,6 @@ def test_try_index_matches_a_walk_of_every_body():
                 "gen/App.java")]
             model = build_semantic_model(units, platform())
             assert indexed_tries(model) == walked_tries(model), f"seed {seed}"
-
-
-def test_analysis_walks_no_body_through_iter_statements(monkeypatch, fig1_dir,
-                                                        jre_mini):
-    def refuse(statements):
-        raise AssertionError("iter_statements called")
-
-    monkeypatch.setattr(walk, "iter_statements", refuse)
-    result = analyze_project(fig1_dir, jre_mini)
-    assert result.report.totals.try_blocks == 1
 
 
 def test_unknown_caught_name_in_nested_tries_diagnosed_once(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _corpus import iter_statements, try_statements_in
 from exflow.syntax import ParseError, parse_compilation_unit
 from exflow.syntax.ast import (
     Assignment, Binary, Block, Cast, Conditional, ExprStmt, FieldAccess,
@@ -17,7 +18,6 @@ from exflow.syntax.ast import (
 )
 from exflow.syntax.lexer import tokenize
 from exflow.syntax.parser import _Parser, _attach_comments
-from exflow.syntax.walk import iter_statements, try_statements_in
 
 
 def parse(source: str):
@@ -628,6 +628,23 @@ DECISIONS = {
         "Binary", "-", ("Name", "Foo"), Y))),
     # once taken, a cast is final: its operand is not reread as `int++`
     "x = (int) ++;": "expected expression, found ';'",
+    # a cast's operand, and only there among unary operands, may be a lambda
+    "x = (Runnable) () -> f();": ("ExprStmt", ("Assignment", "=", X, (
+        "Cast", "Runnable", ("Lambda", [], ("Invocation", None, "f", []))))),
+    "x = (F) a -> a;": ("ExprStmt", ("Assignment", "=", X, (
+        "Cast", "F", ("Lambda", ["a"], A)))),
+    "h(a + () -> 1);": "expected expression, found '\\)'",
+    # an arrow case label is an expression, not a lambda's parameters
+    "switch (k) { case A -> f(); default -> g(); }": ("Block", [
+        ("ExprStmt", ("Name", "k")),
+        ("ExprStmt", ("Invocation", None, "f", [])),
+        ("ExprStmt", ("Invocation", None, "g", []))]),
+    "switch (k) { case A, B -> f(); }": ("Block", [
+        ("ExprStmt", ("Name", "k")),
+        ("ExprStmt", ("Invocation", None, "f", []))]),
+    "switch (k) { case (1) -> f(); }": ("Block", [
+        ("ExprStmt", ("Name", "k")),
+        ("ExprStmt", ("Invocation", None, "f", []))]),
 }
 
 
@@ -663,19 +680,29 @@ JAVA_FILES = sorted(Path(__file__).parent.glob("**/*.java"))
     nested_declarations(10, resource=True),
 ], ids=[*(path.name for path in JAVA_FILES), "nested-10", "resources-10"])
 def test_no_expression_is_parsed_twice(monkeypatch, source):
+    # nor is a lambda looked for twice at one position: at a `(`, that
+    # scans ahead to the matching `)`
     starts = []
+    lambdas = []
     expression = _Parser._expression
+    maybe_lambda = _Parser._maybe_lambda
 
     def entered(self):
         starts.append(self.pos)
         return expression(self)
 
+    def looked(self):
+        lambdas.append(self.pos)
+        return maybe_lambda(self)
+
     monkeypatch.setattr(_Parser, "_expression", entered)
+    monkeypatch.setattr(_Parser, "_maybe_lambda", looked)
     try:
         parse(source)
     except ParseError:
         pass  # the nested sources are malformed on purpose
     assert starts and len(starts) == len(set(starts))
+    assert lambdas and len(lambdas) == len(set(lambdas))
 
 
 @pytest.mark.parametrize("resource", [False, True],

@@ -11,10 +11,10 @@ from exflow.report import aggregate_project, report_to_json
 from exflow.stats import wilcoxon_rank_sum
 from exflow.syntax import parse_compilation_unit
 from exflow.syntax.javadoc import extract_doc_throws
-from exflow.syntax.walk import try_statements_in
 
 from _corpus import (
     build_corpus_model, generate_corpus, iter_tries, partition_recoverability,
+    try_statements_in,
 )
 
 # -- doc-comment extraction --------------------------------------------------
