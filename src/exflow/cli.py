@@ -9,10 +9,10 @@ Platform model files come from --platform (repeatable) or, when absent,
 from every *.json under the directories in EXFLOW_PLATFORM_PATH.
 
 Exit codes: 0 clean, 1 lint findings under --fail-on, 2 usage or
-configuration error, 3 parse or model error (parse errors only under
---strict; otherwise the file is skipped with a diagnostic). A file that is
-not UTF-8, or that nests too deeply for the parser, counts as a parse
-error.
+configuration error or a report that cannot be written, 3 parse or model
+error (parse errors only under --strict; otherwise the file is skipped
+with a diagnostic). A file that is not UTF-8, or that nests too deeply for
+the parser, counts as a parse error.
 """
 
 from __future__ import annotations
@@ -181,6 +181,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         emit_report(result.report, args.format, args.out)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    except OSError as exc:
+        raise _UsageError(
+            f"cannot write report to {args.out or '-'}: {exc}")
     return 0
 
 
@@ -210,7 +213,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             reports.append(report_from_json(Path(path).read_text()))
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise _UsageError(f"cannot load report {path}: {exc}")
-    emit_csv_tables(reports, args.out)
+    try:
+        emit_csv_tables(reports, args.out)
+    except OSError as exc:
+        raise _UsageError(f"cannot write report to {args.out}: {exc}")
     return 0
 
 

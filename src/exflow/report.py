@@ -2,8 +2,9 @@
 
 The JSON report is a single document mirroring ProjectReport with stable
 field order, written exactly as json.dumps(document, indent=2) would write
-it (ASCII escapes, no trailing spaces) plus a newline; the CSV form is five
-files with fixed schemas. Identical inputs produce identical bytes.
+it (ASCII escapes, no trailing spaces) plus a newline, and written one try
+row at a time; the CSV form is five files with fixed schemas. Identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from .classify import HandlerClassification, Strategy
 from .flow import EvidenceKind, TryBlockAnalysis, attribute_sources
@@ -206,8 +208,9 @@ def report_from_dict(doc: dict) -> ProjectReport:
 
 # json.dumps(doc, indent=2) of the document, field by field: every string
 # goes through the encoder json itself uses for ensure_ascii, every float
-# through float.__repr__, and an empty list is "[]"
-_DOCUMENT = """{
+# through float.__repr__, and an empty list is "[]". The try_blocks array
+# stands between the head and the tail.
+_HEAD = """{
   "project": %s,
   "totals": {
     "try_blocks": %d,
@@ -215,7 +218,8 @@ _DOCUMENT = """{
     "methods": %d,
     "distinct_exception_types": %d
   },
-  "try_blocks": %s,
+  "try_blocks": """
+_TAIL = """,
   "diversity": {
     "total_types": %d,
     "buckets": {
@@ -257,11 +261,24 @@ _HANDLER = """        {
 def report_to_json(report: ProjectReport) -> str:
     """The report as json.dumps(document, indent=2) plus a newline, where
     the document holds the fields of ProjectReport in declaration order."""
+    return "".join(_json_chunks(report))
+
+
+def _json_chunks(report: ProjectReport) -> Iterator[str]:
+    """The text of report_to_json in pieces: the head with the project and
+    totals, each try row and the punctuation between rows, and the
+    diversity tail. No piece holds more than one row."""
     string = _Memo(encode_basestring_ascii)
     labels = _Memo(lambda values: _items(
         ["            " + string[v] for v in values], "          "))
-    rows = [
-        _ROW % (
+    totals = report.totals
+    yield _HEAD % (
+        string[report.project], totals.try_blocks, totals.catch_clauses,
+        totals.methods, totals.distinct_exception_types)
+    separator = "[\n"
+    for row in report.try_blocks:
+        yield separator
+        yield _ROW % (
             string[row.try_id], string[row.file], row.line, row.total,
             row.propagated, row.propagated_recoverable,
             _items([_EXCEPTION % (string[e.type], e.distinct_methods,
@@ -274,13 +291,11 @@ def report_to_json(report: ProjectReport) -> str:
                     for f in row.facts], "      "),
             _items([_HANDLER % (string[h.catch_id], labels[tuple(h.actions)])
                     for h in row.handlers], "      "))
-        for row in report.try_blocks]
-    totals = report.totals
+        separator = ",\n"
+    yield "\n  ]" if report.try_blocks else "[]"
     buckets = report.diversity.buckets
-    return _DOCUMENT % (
-        string[report.project], totals.try_blocks, totals.catch_clauses,
-        totals.methods, totals.distinct_exception_types,
-        _items(rows, "  "), report.diversity.total_types,
+    yield _TAIL % (
+        report.diversity.total_types,
         ",\n".join(_BUCKET % (string[b], float.__repr__(buckets[b]))
                    for b in DIVERSITY_BUCKETS))
 
@@ -299,17 +314,18 @@ def report_from_json(text: str) -> ProjectReport:
 def emit_report(report: ProjectReport, format: str,
                 destination: Optional[Union[str, Path]]) -> list[Path]:
     """Write the report. json: one file (or stdout when destination is None
-    or "-"). csv: five files under the destination directory. Returns the
-    paths written."""
+    or "-"), written one try row at a time. csv: five files under the
+    destination directory. Returns the paths written. A file left partly
+    written by a failure is removed before the error propagates."""
     if format == "json":
-        text = report_to_json(report)
         if destination is None or str(destination) == "-":
-            sys.stdout.write(text)
+            sys.stdout.writelines(_json_chunks(report))
             return []
         path = Path(destination)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with _created(path) as handle:
+            handle.writelines(_json_chunks(report))
         return [path]
     if format == "csv":
         if destination is None or str(destination) == "-":
@@ -325,9 +341,9 @@ def emit_csv_tables(reports: list[ProjectReport],
     directory.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def table(name: str, header: list[str], rows: list[list]) -> None:
+    def table(name: str, header: list[str], rows: Iterable[list]) -> None:
         path = directory / name
-        with open(path, "w", newline="") as handle:
+        with _created(path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(rows)
@@ -336,30 +352,43 @@ def emit_csv_tables(reports: list[ProjectReport],
     table("tryblocks.csv",
           ["project", "try_id", "file", "line", "total", "propagated",
            "propagated_recoverable"],
-          [[rep.project, r.try_id, r.file, r.line, r.total, r.propagated,
+          ([rep.project, r.try_id, r.file, r.line, r.total, r.propagated,
             r.propagated_recoverable]
-           for rep in reports for r in rep.try_blocks])
+           for rep in reports for r in rep.try_blocks))
     table("diversity.csv",
           ["project", "bucket", "fraction", "total_types"],
-          [[rep.project, bucket, rep.diversity.buckets[bucket],
+          ([rep.project, bucket, rep.diversity.buckets[bucket],
             rep.diversity.total_types]
-           for rep in reports for bucket in DIVERSITY_BUCKETS])
+           for rep in reports for bucket in DIVERSITY_BUCKETS))
     table("sources.csv",
           ["project", "exception_type", "try_id", "distinct_methods",
            "evidence_kinds"],
-          [[rep.project, e.type, r.try_id, e.distinct_methods,
+          ([rep.project, e.type, r.try_id, e.distinct_methods,
             "|".join(e.evidence)]
-           for rep in reports for r in rep.try_blocks for e in r.exceptions])
+           for rep in reports for r in rep.try_blocks for e in r.exceptions))
     table("strategies.csv",
           ["project", "try_id", "exception_type", "strategy"],
-          [[rep.project, r.try_id, e.type, e.strategy]
-           for rep in reports for r in rep.try_blocks for e in r.exceptions])
+          ([rep.project, r.try_id, e.type, e.strategy]
+           for rep in reports for r in rep.try_blocks for e in r.exceptions))
     table("actions.csv",
           ["project", "catch_id", "action"],
-          [[rep.project, h.catch_id, action]
+          ([rep.project, h.catch_id, action]
            for rep in reports for r in rep.try_blocks for h in r.handlers
-           for action in h.actions])
+           for action in h.actions))
     return written
+
+
+@contextmanager
+def _created(path: Path, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """The file at path opened for writing as text; removed again if the
+    block that writes it, or closing it, fails."""
+    handle = open(path, "w", newline=newline)
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 class _Memo(dict):

@@ -12,7 +12,6 @@ import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -21,9 +20,7 @@ from exflow.classify import (
 )
 from exflow.cli import main
 from exflow.driver import analyze_project, try_bundles
-from exflow.flow import (
-    EvidenceKind, analyze_try_block, compute_method_exception_sets,
-)
+from exflow.flow import analyze_try_block, compute_method_exception_sets
 from exflow.model import build_semantic_model, parse_platform_document
 from exflow.report import aggregate_project
 from exflow.stats import wilcoxon_rank_sum

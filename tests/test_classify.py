@@ -8,7 +8,7 @@ from exflow.classify import (
     classify_actions,
     classify_strategy,
 )
-from exflow.config import Config, config_from_dict
+from exflow.config import config_from_dict
 from exflow.flow import EvidenceKind, LexicalThrowOrigin, PossibleException
 from exflow.model import build_semantic_model, parse_platform_document
 from exflow.syntax import parse_compilation_unit

@@ -1,7 +1,9 @@
 """Command-line behavior and exit codes."""
 
+import errno
 import gc
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from _corpus import (
     generate_corpus, platform_document, render_app, render_exceptions,
 )
-from exflow import cli
+from exflow import cli, report
 from exflow.cli import main
 from exflow.driver import analyze_project
 from exflow.model import parse_platform_document
@@ -75,6 +77,88 @@ def test_analyze_csv_needs_out(capsys, fig1_dir, jre_mini_path):
                           "--platform", str(jre_mini_path), "--format", "csv")
     assert code == 2
     assert "destination" in err
+
+
+@pytest.mark.parametrize("command", ["json", "csv", "report"])
+def test_unwritable_report_exits_two(capsys, tmp_path, fig1_dir,
+                                     jre_mini_path, command):
+    analyze = ["analyze", "--project", str(fig1_dir),
+               "--platform", str(jre_mini_path)]
+    taken = tmp_path / "taken"
+    if command == "json":
+        taken.mkdir()
+        argv = [*analyze, "--out", str(taken)]
+    else:
+        taken.write_text("kept")
+        if command == "csv":
+            argv = [*analyze, "--format", "csv", "--out", str(taken)]
+        else:
+            saved = tmp_path / "saved.json"
+            assert main([*analyze, "--out", str(saved)]) == 0
+            argv = ["report", "--inputs", str(saved), "--out", str(taken)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith(
+        f"error: cannot write report to {taken}: ")
+    assert "Traceback" not in err
+    assert taken.is_dir() if command == "json" else \
+        taken.read_text() == "kept"
+
+
+class _FailingFile:
+    """A real file whose writes fail with ENOSPC after the first few."""
+
+    def __init__(self, path, writes):
+        self.path = Path(path)
+        self.file = open(path, "w")
+        self.writes = writes
+        self.partial = ""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def write(self, text):
+        if not self.writes:
+            self.file.flush()
+            self.partial = self.path.read_text()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes -= 1
+        return self.file.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_report_failing_partway_is_removed(capsys, tmp_path, monkeypatch,
+                                           fig1_dir, jre_mini_path, format):
+    sinks = []
+
+    def failing_open(path, mode, newline=None):
+        sinks.append(_FailingFile(path, writes=2))
+        return sinks[-1]
+
+    monkeypatch.setattr(report, "open", failing_open, raising=False)
+    target = tmp_path / "report"
+    code, out, err = run(capsys, "analyze", "--project", str(fig1_dir),
+                         "--platform", str(jre_mini_path),
+                         "--format", format, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"error: cannot write report to {target}: [Errno {errno.ENOSPC}] "
+        f"{os.strerror(errno.ENOSPC)}")
+    # fig1's tryblocks.csv is two writes long; the diversity table fails
+    failed = target if format == "json" else target / "diversity.csv"
+    assert sinks[-1].path == failed
+    assert sinks[-1].partial.startswith(
+        '{\n  "project": "fig1"' if format == "json" else "project,bucket,")
+    assert not failed.exists()
 
 
 def test_lint_prints_without_failing(capsys, fig1_dir, jre_mini_path):

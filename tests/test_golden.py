@@ -70,3 +70,16 @@ def test_outputs_match_golden_bytes(tree, tmp_path, monkeypatch, capsys,
     assert sorted(found) == sorted(expected)
     for name, data in expected.items():
         assert found[name] == data, f"{tree}/{name} differs from its golden"
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "-"]])
+@pytest.mark.parametrize("tree", ["fig1", "cyclic"])
+def test_analyze_stdout_matches_golden_bytes(tree, out, tmp_path,
+                                             monkeypatch, capsys, fig1_dir,
+                                             jre_mini_path):
+    monkeypatch.chdir(tmp_path)
+    platform = _make_tree(tree, tmp_path, fig1_dir, jre_mini_path).name
+    assert main(["analyze", "--project", tree, "--platform", platform,
+                 *out]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / tree / "analyze.json").read_bytes()

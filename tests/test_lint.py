@@ -1,7 +1,5 @@
 """Lint rules on analyzed projects."""
 
-import pytest
-
 from exflow.config import Config, config_from_dict
 from exflow.driver import analyze_project
 from exflow.lint import (

@@ -13,8 +13,7 @@ from exflow.syntax import ParseError, parse_compilation_unit
 from exflow.syntax.ast import (
     Assignment, Binary, Block, Cast, Conditional, ExprStmt, FieldAccess,
     IfStmt, InstanceOf, Invocation, Lambda, LocalDecl, LoopStmt, Name,
-    NewInstance, OpaqueThrow, ReturnStmt, ThrowStmt, TryStmt, Unary,
-    VariableRef, CONSTRUCTOR_NAME,
+    NewInstance, OpaqueThrow, ThrowStmt, Unary, VariableRef, CONSTRUCTOR_NAME,
 )
 from exflow.syntax.lexer import tokenize
 from exflow.syntax.parser import _Parser, _attach_comments

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exflow.classify import Action, Strategy, classify_actions
-from exflow.config import Config
 from exflow.driver import try_bundles
 from exflow.flow import analyze_try_block
 from exflow.report import aggregate_project, report_to_json

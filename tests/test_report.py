@@ -1,6 +1,8 @@
 """Report aggregation, serialization, and CSV emission."""
 
 import json
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -308,3 +310,31 @@ def test_writer_on_cyclic_corpora(tmp_path, seed):
                                  name="gen")
         assert result.report.try_blocks
         assert_writer_matches_json_dumps(result.report)
+
+
+def test_emit_writes_no_piece_longer_than_a_row(tmp_path, monkeypatch):
+    corpus = generate_corpus(3, cyclic=True, max_methods=30)
+    (tmp_path / "gen").mkdir()
+    (tmp_path / "gen" / "App.java").write_text(render_app(corpus))
+    (tmp_path / "gen" / "Exceptions.java").write_text(
+        render_exceptions(corpus))
+    platform = parse_platform_document(platform_document(corpus), "gen")
+    report = analyze_project(tmp_path, platform, name="gen").report
+    assert len(report.try_blocks) > 1
+    written = []
+
+    class Recorder:
+        def write(self, text):
+            written.append(text)
+            return len(text)
+
+        def writelines(self, lines):
+            written.extend(lines)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert emit_report(report, "json", None) == []
+    assert "".join(written) == report_to_json(report)
+    # a row as the document holds it: json.dumps at two levels deep
+    longest_row = max(len(textwrap.indent(json.dumps(row, indent=2), "    "))
+                      for row in reference_dict(report)["try_blocks"])
+    assert max(map(len, written)) <= longest_row
