@@ -45,7 +45,7 @@ class Action(enum.Enum):
     TODO = "Todo"
 
 
-@dataclass
+@dataclass(slots=True)
 class HandlerClassification:
     catch_id: str
     actions: frozenset[Action]

@@ -157,10 +157,8 @@ def _load_platform(args: argparse.Namespace) -> PlatformModel:
     if not paths:
         raise _UsageError(
             f"no platform model: pass --platform or set {PLATFORM_PATH_VAR}")
-    merged = merge_platform_models(
+    return merge_platform_models(
         [load_platform_model(p, require_closed=False) for p in paths])
-    validate_platform_closure(merged, source="merged platform model")
-    return merged
 
 
 def _run_analysis(args: argparse.Namespace):
@@ -170,6 +168,10 @@ def _run_analysis(args: argparse.Namespace):
     config = _load_config(args)
     platform = _load_platform(args)
     result = analyze_project(project, platform, config, strict=args.strict)
+    # closed over the model's types, so the platform may document an
+    # exception that only the project declares
+    validate_platform_closure(platform, frozenset(result.model.types),
+                              source="merged platform model")
     for line in result.diagnostics:
         print(line, file=sys.stderr)
     return result, config
@@ -257,7 +259,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out and args.out != "-":
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write statistics to {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     return 0

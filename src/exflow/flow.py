@@ -90,7 +90,7 @@ class CallSiteOrigin:
 Origin = Union[LexicalThrowOrigin, CallSiteOrigin]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PossibleException:
     """One exception type at one origin within a region.
 
@@ -106,7 +106,7 @@ class PossibleException:
     source_methods: frozenset[MethodId]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodFact:
     evidence: frozenset[EvidenceKind]
     sources: frozenset[MethodId]
@@ -116,7 +116,7 @@ class MethodFact:
 MethodSets = dict[MethodId, dict[str, MethodFact]]
 
 
-@dataclass
+@dataclass(slots=True)
 class TryBlockAnalysis:
     try_id: str
     position: SourcePosition
@@ -130,7 +130,7 @@ class TryBlockAnalysis:
         return {tid: n for tid, (n, _) in attribute_sources(self).items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class TryRegion:
     """One try statement: its clauses with the caught names resolved to type
     ids (a name that is unknown or not in the model matches nothing), the
@@ -145,7 +145,7 @@ class TryRegion:
     analysis: Optional[TryBlockAnalysis] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Region:
     """The sites whose exceptions reach a region unfiltered: its statements,
     their lambda and anonymous-class bodies, and the catch and finally
@@ -156,7 +156,7 @@ class Region:
     tries: list[TryRegion] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodSummary:
     """A corpus method body lowered once for every consumer."""
 

@@ -23,7 +23,7 @@ RULE_FLAGS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LintFinding:
     rule: str
     position: SourcePosition

@@ -46,12 +46,14 @@ _KINDS = ("checked", "unchecked", "error")
 
 
 class ModelError(Exception):
-    """Corpus-level modeling failure: duplicate types, hierarchy cycles,
-    or dangling platform superclasses."""
+    """Corpus-level modeling failure: duplicate types or hierarchy
+    cycles."""
 
 
 class PlatformModelError(Exception):
-    """Platform-model file rejected; the message carries the JSON path."""
+    """Platform model rejected: a malformed file (the message carries the
+    JSON path), or a platform type whose superclass neither the platform
+    nor the corpus declares."""
 
 
 class Recoverability(enum.Enum):
@@ -76,7 +78,7 @@ def parse_signature(signature: str) -> MethodId:
 # Platform model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlatformType:
     name: str
     superclass: Optional[str]
@@ -84,13 +86,13 @@ class PlatformType:
     recoverable: Optional[bool] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlatformMethod:
     id: MethodId
     throws: tuple[str, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class PlatformModel:
     types: dict[str, PlatformType] = field(default_factory=dict)
     methods: dict[MethodId, PlatformMethod] = field(default_factory=dict)
@@ -225,7 +227,7 @@ def validate_platform_closure(platform: PlatformModel,
 # Semantic model
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class TypeEntry:
     id: str
     origin: str  # "corpus" | "platform"
@@ -234,7 +236,7 @@ class TypeEntry:
     platform: Optional[PlatformType] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class CorpusMethod:
     id: MethodId
     decl: MethodDecl
@@ -245,13 +247,13 @@ class CorpusMethod:
                                                compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExternalMethod:
     id: MethodId
     documented: tuple[str, ...]  # exception type ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unresolved:
     reason: str
 
@@ -354,8 +356,9 @@ class SemanticModel:
 def build_semantic_model(units: list[CompilationUnit],
                          platform: PlatformModel) -> SemanticModel:
     """Register all types and methods, validate the hierarchy, and resolve
-    every call site. Raises ModelError for duplicate qualified type names,
-    hierarchy cycles, and dangling platform superclasses."""
+    every call site. Raises ModelError for duplicate qualified type names
+    and hierarchy cycles, and PlatformModelError for dangling platform
+    superclasses."""
     model = SemanticModel(units, platform)
 
     for ptype in platform.types.values():
@@ -395,7 +398,7 @@ def build_semantic_model(units: list[CompilationUnit],
 
     for ptype in platform.types.values():
         if ptype.superclass is not None and ptype.superclass not in model.types:
-            raise ModelError(
+            raise PlatformModelError(
                 f"platform type {ptype.name} has undeclared superclass "
                 f"{ptype.superclass}")
 

@@ -30,7 +30,7 @@ STRATEGY_LABELS = {Strategy.SPECIFIC: "specific",
 PROPAGATED_LABEL = "propagated"
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeAttribution:
     type: str
     distinct_methods: int
@@ -38,7 +38,7 @@ class TypeAttribution:
     strategy: str  # specific | subsumption | propagated
 
 
-@dataclass
+@dataclass(slots=True)
 class FactRow:
     type: str
     origin: str
@@ -46,13 +46,13 @@ class FactRow:
     handled: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class HandlerRow:
     catch_id: str
     actions: list[str]
 
 
-@dataclass
+@dataclass(slots=True)
 class TryRow:
     try_id: str
     file: str
@@ -65,7 +65,7 @@ class TryRow:
     handlers: list[HandlerRow]
 
 
-@dataclass
+@dataclass(slots=True)
 class Totals:
     try_blocks: int
     catch_clauses: int
@@ -73,13 +73,13 @@ class Totals:
     distinct_exception_types: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Diversity:
     total_types: int
     buckets: dict[str, float]
 
 
-@dataclass
+@dataclass(slots=True)
 class ProjectReport:
     project: str
     totals: Totals
@@ -87,7 +87,7 @@ class ProjectReport:
     diversity: Diversity
 
 
-@dataclass
+@dataclass(slots=True)
 class CoverageSummary:
     """Per-evidence-kind fact counts with pairwise overlaps."""
     total_facts: int
@@ -95,7 +95,7 @@ class CoverageSummary:
     overlaps: dict[str, int] = field(default_factory=dict)  # "KindA&KindB"
 
 
-@dataclass
+@dataclass(slots=True)
 class TryBundle:
     """One analyzed try statement plus its handler classifications."""
     stmt: TryStmt

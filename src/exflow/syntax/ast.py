@@ -3,6 +3,11 @@
 Every statement carries a source position pointing at its first token, and
 every block records the character span it covers so that comments can be
 attached to the nearest enclosing statement list after parsing.
+
+Every node is a slotted dataclass: it holds its fields and nothing else,
+with no per-instance ``__dict__``, so a tree of tens of thousands of nodes
+stays small. Setting an attribute that is not a field raises
+AttributeError.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourcePosition:
     """1-based line/column location in a source file."""
 
@@ -27,23 +32,23 @@ class SourcePosition:
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Literal:
     text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Name:
     identifier: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldAccess:
     target: "Expr"
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Invocation:
     """A method call site. `receiver` is None for unqualified calls."""
 
@@ -57,7 +62,7 @@ class Invocation:
         return len(self.arguments)
 
 
-@dataclass
+@dataclass(slots=True)
 class NewInstance:
     """`new T(args)`, optionally with an anonymous class body.
 
@@ -75,65 +80,65 @@ class NewInstance:
         return len(self.arguments)
 
 
-@dataclass
+@dataclass(slots=True)
 class NewArray:
     type_name: str
     dimensions: list["Expr"]
     initializer: list["Expr"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary:
     op: str
     operand: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary:
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Assignment:
     op: str
     target: "Expr"
     value: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Conditional:
     condition: "Expr"
     if_true: "Expr"
     if_false: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast:
     type_name: str
     operand: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayAccess:
     target: "Expr"
     index: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceOf:
     operand: "Expr"
     type_name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Lambda:
     parameters: list[str]
     body: Union["Block", "Expr"]
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodRef:
     target: str
     name: str
@@ -150,7 +155,7 @@ Expr = Union[
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Comment:
     """A comment preserved verbatim, attached to its nearest enclosing block."""
 
@@ -159,7 +164,7 @@ class Comment:
     is_doc: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     statements: list["Statement"]
     position: SourcePosition
@@ -168,26 +173,26 @@ class Block:
     comments: list[Comment] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt:
     expression: Expr
     position: SourcePosition
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalVar:
     name: str
     type_name: str
     initializer: Optional[Expr] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalDecl:
     declarations: list[LocalVar]
     position: SourcePosition
 
 
-@dataclass
+@dataclass(slots=True)
 class IfStmt:
     condition: Expr
     then_branch: "Statement"
@@ -195,7 +200,7 @@ class IfStmt:
     position: SourcePosition
 
 
-@dataclass
+@dataclass(slots=True)
 class LoopStmt:
     """while / do / for / foreach loops, normalized to one node.
 
@@ -211,43 +216,43 @@ class LoopStmt:
     position: SourcePosition
 
 
-@dataclass
+@dataclass(slots=True)
 class ReturnStmt:
     value: Optional[Expr]
     position: SourcePosition
 
 
-@dataclass
+@dataclass(slots=True)
 class ContinueStmt:
     label: Optional[str]
     position: SourcePosition
 
 
-@dataclass
+@dataclass(slots=True)
 class BreakStmt:
     label: Optional[str]
     position: SourcePosition
 
 
-@dataclass
+@dataclass(slots=True)
 class VariableRef:
     identifier: str
 
 
-@dataclass
+@dataclass(slots=True)
 class OpaqueThrow:
     """A thrown expression that is neither `new T(...)` nor a bare variable."""
 
     expression: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class ThrowStmt:
     thrown: Union[NewInstance, VariableRef, OpaqueThrow]
     position: SourcePosition
 
 
-@dataclass
+@dataclass(slots=True)
 class CatchClause:
     caught_types: list[str]
     variable: str
@@ -259,7 +264,7 @@ class CatchClause:
         return str(self.position)
 
 
-@dataclass
+@dataclass(slots=True)
 class TryStmt:
     body: Block
     catches: list[CatchClause]
@@ -281,13 +286,13 @@ Statement = Union[
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class DocComment:
     raw: str
     throws_tags: list[tuple[str, str]]
 
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     name: str
     type_name: str
@@ -296,7 +301,7 @@ class Param:
 CONSTRUCTOR_NAME = "<init>"
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDecl:
     name: str
     params: list[Param]
@@ -310,7 +315,7 @@ class MethodDecl:
         return len(self.params)
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeDecl:
     name: str  # qualified with the unit's package
     kind: str  # "class" | "interface"
@@ -321,7 +326,7 @@ class TypeDecl:
     position: SourcePosition
 
 
-@dataclass
+@dataclass(slots=True)
 class CompilationUnit:
     package: str
     imports: list[str]

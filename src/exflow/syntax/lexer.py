@@ -7,6 +7,11 @@ alternatives (floats before ints, longer punctuators before their
 prefixes); a last one-character group catches what no class matches. Line
 and column are worked out from offsets.
 
+Identifier and keyword texts are interned with ``sys.intern``, so every
+occurrence of one spelling, across all files of a run, is the same string
+object: the tree holds one copy of each name instead of one per token.
+Literal texts are left as they are.
+
 Comments never enter the token stream; they are collected on the side with
 their positions and character offsets so the parser can attach doc comments
 to declarations and ordinary comments to their nearest enclosing block.
@@ -15,6 +20,7 @@ to declarations and ordinary comments to their nearest enclosing block.
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple, Sequence
 
 from .ast import Comment, SourcePosition
@@ -122,6 +128,7 @@ def tokenize(source: str, file: str) -> LexedSource:
     line = 1
     line_start = 0  # offset of the first character of the current line
     end = 0  # end of the previous match
+    intern = sys.intern
 
     for match in _TOKEN.finditer(source):
         kind = match.lastgroup
@@ -145,6 +152,7 @@ def tokenize(source: str, file: str) -> LexedSource:
             pending.append(len(comments) - 1)
         else:
             if kind == "ident":
+                text = intern(text)
                 if text in KEYWORDS:
                     kind = "kw"
                 elif not (text[0].isalpha() or text[0] in "_$"):

@@ -232,6 +232,62 @@ def test_bad_platform_file(capsys, tmp_path, fig1_dir):
     assert "unknown keys" in err
 
 
+PROJECT_EXCEPTION = (
+    "package gen;\n"
+    "class MyEx extends Exception {}\n"
+    "class A { void f() { try { Ext.e0(); } catch (MyEx e) {} } }\n")
+
+
+def platform_with(tmp_path, jre_mini_path, types=(), methods=()):
+    doc = json.loads(jre_mini_path.read_text())
+    doc["types"] += types
+    doc["methods"] += methods
+    path = tmp_path / "platform.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_platform_may_document_a_project_exception(capsys, tmp_path,
+                                                   jre_mini_path):
+    # the platform is closed over its own types plus the project's
+    project = tmp_path / "src"
+    project.mkdir()
+    (project / "A.java").write_text(PROJECT_EXCEPTION)
+    platform = platform_with(tmp_path, jre_mini_path, methods=[
+        {"signature": "gen.Ext#e0(0)", "throws": ["gen.MyEx"]}])
+    target = tmp_path / "report.json"
+    code, _out, err = run(capsys, "analyze", "--project", str(project),
+                          "--platform", str(platform), "--out", str(target))
+    assert code == 0, err
+    (row,) = json.loads(target.read_text())["try_blocks"]
+    assert row["exceptions"][0]["type"] == "gen.MyEx"
+    assert row["exceptions"][0]["strategy"] == "specific"
+
+
+@pytest.mark.parametrize("case", ["exception", "superclass"])
+def test_platform_not_closed_by_the_project_exits_two(
+        capsys, tmp_path, jre_mini_path, case):
+    project = tmp_path / "src"
+    project.mkdir()
+    (project / "A.java").write_text(PROJECT_EXCEPTION)
+    if case == "exception":
+        platform = platform_with(tmp_path, jre_mini_path, methods=[
+            {"signature": "gen.Ext#e0(0)", "throws": ["gen.Nowhere"]}])
+        expected = "documents undeclared exception gen.Nowhere"
+    else:
+        platform = platform_with(tmp_path, jre_mini_path, types=[
+            {"name": "x.Sub", "superclass": "x.Base", "kind": "checked"}])
+        expected = "x.Sub has undeclared superclass x.Base"
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "analyze", "--project", str(project),
+                         "--platform", str(platform), "--out", str(target))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and line.endswith(expected)
+    assert not target.exists()
+
+
 def test_unparseable_file_skipped_by_default(capsys, tmp_path, jre_mini_path):
     project = write_demo(tmp_path)
     (project / "Broken.java").write_text("class {{{")
@@ -467,6 +523,21 @@ def test_stats_rejects_non_numeric_metric(capsys, tmp_path, fig1_dir,
     (line,) = err.splitlines()
     assert line.startswith(f"error: report {bad}: total of try block ")
     assert line.endswith(f"is not a number: {json.loads(value)!r}")
+
+
+def test_stats_out_naming_a_directory_exits_two(capsys, tmp_path, fig1_dir,
+                                               jre_mini_path):
+    saved = tmp_path / "fig1.json"
+    code, *_ = run(capsys, "analyze", "--project", str(fig1_dir),
+                   "--platform", str(jre_mini_path), "--out", str(saved))
+    assert code == 0
+    code, out, err = run(capsys, "stats", "--group-a", str(saved),
+                         "--group-b", str(saved), "--metric", "total",
+                         "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cannot write statistics to {tmp_path}: ")
 
 
 def test_usage_errors_from_argparse(capsys):

@@ -29,8 +29,9 @@ def _make_tree(tree: str, root: Path, fig1_dir: Path,
     if tree == "fig1":
         shutil.copytree(fig1_dir, project)
         return Path(shutil.copy(jre_mini_path, root / "platform.json"))
-    # the CLI checks that the platform declares every exception its methods
-    # document, so the corpus exception types go into the platform file
+    # App.java declares no exception classes, so the corpus exception types
+    # go into the platform file, which must declare every exception that
+    # its methods document and the project does not
     corpus = generate_corpus(3, cyclic=True, max_methods=30)
     (project / "gen").mkdir(parents=True)
     (project / "gen" / "App.java").write_text(render_app(corpus))

@@ -17,6 +17,16 @@ def test_keywords_vs_identifiers():
     assert kinds_and_texts("é") == [("ident", "é")]
 
 
+def test_identifiers_are_interned_across_sources():
+    # one string per spelling, however many files and tokens spell it
+    first = tokenize("class Widget { Widget next; }", "A.java").tokens
+    second = tokenize("Widget next = build();", "B.java").tokens
+    assert [t.text for t in first[:4]] == ["class", "Widget", "{", "Widget"]
+    assert first[1].text is first[3].text is second[0].text
+    assert first[4].text is second[1].text  # "next"
+    assert first[0].text is tokenize("class B {}", "B.java").tokens[0].text
+
+
 def test_punctuation_maximal_munch():
     assert kinds_and_texts("a >>>= b") == [
         ("ident", "a"), ("punct", ">>>="), ("ident", "b")]

@@ -1,0 +1,49 @@
+"""The classes exflow builds in bulk are slotted dataclasses: an instance
+holds its fields and no per-instance __dict__."""
+
+import dataclasses
+
+import pytest
+
+from exflow import classify, flow, model, report
+from exflow.lint import LintFinding
+from exflow.syntax import ast
+
+TREE = [cls for cls in vars(ast).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == ast.__name__]
+SLOTTED = [
+    *TREE,
+    flow.PossibleException, flow.MethodFact, flow.TryBlockAnalysis,
+    flow.TryRegion, flow.Region, flow.MethodSummary,
+    model.PlatformType, model.PlatformMethod, model.PlatformModel,
+    model.TypeEntry, model.CorpusMethod, model.ExternalMethod,
+    model.Unresolved,
+    classify.HandlerClassification,
+    LintFinding,
+    report.TypeAttribution, report.FactRow, report.HandlerRow,
+    report.TryRow, report.Totals, report.Diversity, report.ProjectReport,
+    report.CoverageSummary, report.TryBundle,
+]
+
+
+def test_tree_classes_are_found():
+    assert {ast.SourcePosition, ast.Comment, ast.CompilationUnit} <= set(TREE)
+
+
+@pytest.mark.parametrize("cls", SLOTTED, ids=lambda cls: cls.__qualname__)
+def test_class_defines_slots(cls):
+    assert "__slots__" in vars(cls)
+    assert cls.__dictoffset__ == 0  # instances get no __dict__
+
+
+def test_analysis_result_objects_have_no_dict(fig1_result):
+    (bundle,) = fig1_result.bundles
+    built = [
+        bundle.stmt, bundle.stmt.position, bundle.stmt.body,
+        next(iter(bundle.analysis.possible)),
+        fig1_result.report.try_blocks[0],
+    ]
+    for obj in built:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    with pytest.raises(AttributeError):
+        bundle.stmt.note = "not a field"
