@@ -184,6 +184,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc))
     except OSError as exc:
+        if args.out in (None, "-") and isinstance(exc, BrokenPipeError):
+            # the reader has gone: what stdout still buffers goes nowhere,
+            # rather than failing again when the interpreter exits
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         raise _UsageError(
             f"cannot write report to {args.out or '-'}: {exc}")
     return 0

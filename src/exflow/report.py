@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from contextlib import contextmanager
+from collections import Counter
+from collections.abc import Sequence
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Callable, Iterator, Optional, TextIO, Union
 
 from .classify import HandlerClassification, Strategy
 from .flow import EvidenceKind, TryBlockAnalysis, attribute_sources
@@ -83,7 +85,7 @@ class Diversity:
 class ProjectReport:
     project: str
     totals: Totals
-    try_blocks: list[TryRow]
+    try_blocks: Sequence[TryRow]  # a list when loaded from JSON
     diversity: Diversity
 
 
@@ -106,21 +108,30 @@ class TryBundle:
 
 def aggregate_project(bundles: list[TryBundle], model: SemanticModel,
                       name: str, *, transitive: bool = False) -> ProjectReport:
-    """Reduce per-try analyses into the project report."""
-    rows = []
-    appearances: dict[str, int] = {}
-    catch_clauses = 0
+    """Reduce per-try analyses into the project report. One pass over the
+    bundles counts the totals and the diversity; the rows are built from
+    the bundles, in (file, line, try_id) order, each time they are read."""
+    appearances = Counter(t for bundle in bundles
+                          for t in {f.type for f in bundle.analysis.possible})
+    buckets = {b: 0 for b in DIVERSITY_BUCKETS}
+    for count in appearances.values():
+        buckets[str(count) if count <= 5 else ">5"] += 1
+    total_types = len(appearances)
+    fractions = {b: (buckets[b] / total_types if total_types else 0.0)
+                 for b in DIVERSITY_BUCKETS}
+    totals = Totals(try_blocks=len(bundles),
+                    catch_clauses=sum(len(b.stmt.catches) for b in bundles),
+                    methods=len(model.corpus_methods()),
+                    distinct_exception_types=total_types)
+    # rows share one label list per evidence set; nothing mutates a row
     labels = _Memo(lambda kinds: sorted(k.value for k in kinds))
     recoverable = _Memo(lambda tid: model.recoverability_of(tid)
                         is Recoverability.POTENTIALLY_RECOVERABLE)
 
-    def evidence(kinds: frozenset[EvidenceKind]) -> list[str]:
-        return list(labels[kinds])
-
-    for bundle in bundles:
+    def row(bundle: TryBundle) -> TryRow:
         analysis = bundle.analysis
         # handled and propagated are disjoint and together make up possible
-        facts = [FactRow(f.type, f.origin.label, evidence(f.evidence), False)
+        facts = [FactRow(f.type, f.origin.label, labels[f.evidence], False)
                  for f in analysis.propagated]
         strategy_by_type = dict.fromkeys((r.type for r in facts),
                                          PROPAGATED_LABEL)
@@ -128,38 +139,51 @@ def aggregate_project(bundles: list[TryBundle], model: SemanticModel,
         propagated_recoverable = sum(recoverable[t] for t in strategy_by_type)
         for fact, (_clause, _matched, strategy) in analysis.handled.items():
             facts.append(FactRow(fact.type, fact.origin.label,
-                                 evidence(fact.evidence), True))
+                                 labels[fact.evidence], True))
             strategy_by_type[fact.type] = STRATEGY_LABELS[strategy]
         facts.sort(key=lambda r: (r.type, r.origin))
         attribution = attribute_sources(analysis, transitive=transitive)
         exceptions = [
-            TypeAttribution(t, attribution[t][0], evidence(attribution[t][1]),
+            TypeAttribution(t, attribution[t][0], labels[attribution[t][1]],
                             strategy_by_type[t])
             for t in sorted(strategy_by_type)]
         handlers = [HandlerRow(h.catch_id, sorted(a.value for a in h.actions))
                     for h in bundle.handlers]
-        rows.append(TryRow(
+        return TryRow(
             analysis.try_id, analysis.position.file, analysis.position.line,
             total=len(strategy_by_type), propagated=propagated,
             propagated_recoverable=propagated_recoverable,
-            exceptions=exceptions, facts=facts, handlers=handlers))
-        catch_clauses += len(bundle.stmt.catches)
-        for t in strategy_by_type:
-            appearances[t] = appearances.get(t, 0) + 1
-    rows.sort(key=lambda r: (r.file, r.line, r.try_id))
+            exceptions=exceptions, facts=facts, handlers=handlers)
 
-    buckets = {b: 0 for b in DIVERSITY_BUCKETS}
-    for t, count in appearances.items():
-        buckets[str(count) if count <= 5 else ">5"] += 1
-    total_types = len(appearances)
-    fractions = {b: (buckets[b] / total_types if total_types else 0.0)
-                 for b in DIVERSITY_BUCKETS}
-
-    totals = Totals(try_blocks=len(rows), catch_clauses=catch_clauses,
-                    methods=len(model.corpus_methods()),
-                    distinct_exception_types=total_types)
-    return ProjectReport(name, totals, rows,
+    ordered = sorted(bundles, key=lambda b: (b.analysis.position.file,
+                     b.analysis.position.line, b.analysis.try_id))
+    return ProjectReport(name, totals, _TryRows(ordered, row),
                          Diversity(total_types, fractions))
+
+
+class _TryRows(Sequence):
+    """The rows of aggregated bundles: a sequence that builds the row of a
+    bundle from it whenever the row is read, and keeps none of them."""
+    __slots__ = ("_bundles", "_row")
+
+    def __init__(self, bundles: list[TryBundle], row: Callable):
+        self._bundles = bundles
+        self._row = row
+
+    def __len__(self) -> int:
+        return len(self._bundles)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._row, self._bundles[index]))
+        return self._row(self._bundles[index])
+
+    def __iter__(self) -> Iterator[TryRow]:
+        return map(self._row, self._bundles)
+
+    def __eq__(self, other):  # and so unhashable, as a list is
+        return (list(self) == list(other) if isinstance(other, Sequence)
+                else NotImplemented)
 
 
 def documentation_coverage(report: ProjectReport) -> CoverageSummary:
@@ -336,46 +360,46 @@ def emit_report(report: ProjectReport, format: str,
 
 def emit_csv_tables(reports: list[ProjectReport],
                     directory: Union[str, Path]) -> list[Path]:
-    """The five CSV tables, rows from all reports in input order."""
+    """The five CSV tables, rows from all reports in input order: first
+    diversity, then the other four in one pass over each report's rows. A
+    failure removes each table still open."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
+    headers = {
+        "tryblocks.csv": ["project", "try_id", "file", "line", "total",
+                          "propagated", "propagated_recoverable"],
+        "diversity.csv": ["project", "bucket", "fraction", "total_types"],
+        "sources.csv": ["project", "exception_type", "try_id",
+                        "distinct_methods", "evidence_kinds"],
+        "strategies.csv": ["project", "try_id", "exception_type", "strategy"],
+        "actions.csv": ["project", "catch_id", "action"],
+    }
+    with ExitStack() as files:
+        def table(name: str):
+            writer = csv.writer(files.enter_context(
+                _created(directory / name, newline="")))
+            writer.writerow(headers[name])
+            return writer
 
-    def table(name: str, header: list[str], rows: Iterable[list]) -> None:
-        path = directory / name
-        with _created(path, newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-        written.append(path)
-
-    table("tryblocks.csv",
-          ["project", "try_id", "file", "line", "total", "propagated",
-           "propagated_recoverable"],
-          ([rep.project, r.try_id, r.file, r.line, r.total, r.propagated,
-            r.propagated_recoverable]
-           for rep in reports for r in rep.try_blocks))
-    table("diversity.csv",
-          ["project", "bucket", "fraction", "total_types"],
-          ([rep.project, bucket, rep.diversity.buckets[bucket],
-            rep.diversity.total_types]
-           for rep in reports for bucket in DIVERSITY_BUCKETS))
-    table("sources.csv",
-          ["project", "exception_type", "try_id", "distinct_methods",
-           "evidence_kinds"],
-          ([rep.project, e.type, r.try_id, e.distinct_methods,
-            "|".join(e.evidence)]
-           for rep in reports for r in rep.try_blocks for e in r.exceptions))
-    table("strategies.csv",
-          ["project", "try_id", "exception_type", "strategy"],
-          ([rep.project, r.try_id, e.type, e.strategy]
-           for rep in reports for r in rep.try_blocks for e in r.exceptions))
-    table("actions.csv",
-          ["project", "catch_id", "action"],
-          ([rep.project, h.catch_id, action]
-           for rep in reports for r in rep.try_blocks for h in r.handlers
-           for action in h.actions))
-    return written
+        table("diversity.csv").writerows(
+            [rep.project, bucket, rep.diversity.buckets[bucket],
+             rep.diversity.total_types]
+            for rep in reports for bucket in DIVERSITY_BUCKETS)
+        tryblocks, sources, strategies, actions = map(table, (
+            "tryblocks.csv", "sources.csv", "strategies.csv", "actions.csv"))
+        for rep in reports:
+            for r in rep.try_blocks:
+                tryblocks.writerow([rep.project, r.try_id, r.file, r.line,
+                                    r.total, r.propagated,
+                                    r.propagated_recoverable])
+                for e in r.exceptions:
+                    sources.writerow([rep.project, e.type, r.try_id,
+                                      e.distinct_methods, "|".join(e.evidence)])
+                    strategies.writerow([rep.project, r.try_id, e.type,
+                                         e.strategy])
+                actions.writerows([rep.project, h.catch_id, action]
+                                  for h in r.handlers for action in h.actions)
+    return [directory / name for name in headers]
 
 
 @contextmanager

@@ -4,6 +4,8 @@ import errno
 import gc
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from _corpus import (
     generate_corpus, platform_document, render_app, render_exceptions,
 )
+import exflow
 from exflow import cli, report
 from exflow.cli import main
 from exflow.driver import analyze_project
@@ -153,12 +156,59 @@ def test_report_failing_partway_is_removed(capsys, tmp_path, monkeypatch,
     assert err.splitlines()[-1] == (
         f"error: cannot write report to {target}: [Errno {errno.ENOSPC}] "
         f"{os.strerror(errno.ENOSPC)}")
-    # fig1's tryblocks.csv is two writes long; the diversity table fails
+    # the diversity table is written first and fails on its third write
     failed = target if format == "json" else target / "diversity.csv"
     assert sinks[-1].path == failed
     assert sinks[-1].partial.startswith(
         '{\n  "project": "fig1"' if format == "json" else "project,bucket,")
     assert not failed.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_two_with_one_line(tmp_path, jre_mini_path,
+                                               unbuffered):
+    # 150 tries that each call 20 methods throwing 20 exception types:
+    # rows of about 8 KB, a report far larger than a pipe holds. Without
+    # PYTHONUNBUFFERED, bytes are still buffered when the reader closes,
+    # and the interpreter flushes stdout once more as it exits.
+    project = tmp_path / "src"
+    project.mkdir()
+    calls = " ".join(f"t{i}();" for i in range(20))
+    (project / "Big.java").write_text(
+        "".join(f"class E{i} extends Exception {{}}\n" for i in range(20))
+        + "class Big {\n"
+        + "".join(f"  void t{i}() throws E{i} {{}}\n" for i in range(20))
+        + "".join(f"  void m{m}() {{ try {{ {calls} }} catch (E0 e) {{}} }}\n"
+                  for m in range(150))
+        + "}\n")
+    saved = tmp_path / "report.json"
+    assert main(["analyze", "--project", str(project),
+                 "--platform", str(jre_mini_path), "--out", str(saved)]) == 0
+    assert saved.stat().st_size >= 1 << 20
+
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep
+               .join([str(Path(exflow.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, "-c",
+               "import sys; from exflow.cli import main; sys.exit(main())",
+               "analyze", "--project", str(project),
+               "--platform", str(jre_mini_path)]
+    with open(tmp_path / "stderr", "w+") as stderr:
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=stderr,
+                              env=env) as child:
+            head = child.stdout.read(20)
+            child.stdout.close()
+            code = child.wait(timeout=300)
+        stderr.seek(0)
+        err = stderr.read()
+    assert head == saved.read_bytes()[:20]
+    assert code == 2
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [
+        "error: cannot write report to -: "
+        f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"]
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_lint_prints_without_failing(capsys, fig1_dir, jre_mini_path):

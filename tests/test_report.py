@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from _corpus import (
     generate_corpus, platform_document, render_app, render_exceptions,
 )
+from exflow import report as report_module
 from exflow.config import Config
 from exflow.driver import analyze_project
+from exflow.lint import lint
 from exflow.model import parse_platform_document
 from exflow.report import (
     DIVERSITY_BUCKETS,
@@ -296,14 +298,18 @@ def test_writer_on_figure_one(fig1_result):
     assert_writer_matches_json_dumps(fig1_result.report)
 
 
+def cyclic_tree(root, seed):
+    """A generated cyclic corpus written under root; returns its platform."""
+    corpus = generate_corpus(seed, cyclic=True, max_methods=30)
+    (root / "gen").mkdir()
+    (root / "gen" / "App.java").write_text(render_app(corpus))
+    (root / "gen" / "Exceptions.java").write_text(render_exceptions(corpus))
+    return parse_platform_document(platform_document(corpus), "gen")
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_writer_on_cyclic_corpora(tmp_path, seed):
-    corpus = generate_corpus(seed, cyclic=True, max_methods=30)
-    (tmp_path / "gen").mkdir()
-    (tmp_path / "gen" / "App.java").write_text(render_app(corpus))
-    (tmp_path / "gen" / "Exceptions.java").write_text(
-        render_exceptions(corpus))
-    platform = parse_platform_document(platform_document(corpus), "gen")
+    platform = cyclic_tree(tmp_path, seed)
     for transitive in (False, True):
         result = analyze_project(tmp_path, platform,
                                  Config(transitive_origins=transitive),
@@ -313,12 +319,7 @@ def test_writer_on_cyclic_corpora(tmp_path, seed):
 
 
 def test_emit_writes_no_piece_longer_than_a_row(tmp_path, monkeypatch):
-    corpus = generate_corpus(3, cyclic=True, max_methods=30)
-    (tmp_path / "gen").mkdir()
-    (tmp_path / "gen" / "App.java").write_text(render_app(corpus))
-    (tmp_path / "gen" / "Exceptions.java").write_text(
-        render_exceptions(corpus))
-    platform = parse_platform_document(platform_document(corpus), "gen")
+    platform = cyclic_tree(tmp_path, 3)
     report = analyze_project(tmp_path, platform, name="gen").report
     assert len(report.try_blocks) > 1
     written = []
@@ -338,3 +339,95 @@ def test_emit_writes_no_piece_longer_than_a_row(tmp_path, monkeypatch):
     longest_row = max(len(textwrap.indent(json.dumps(row, indent=2), "    "))
                       for row in reference_dict(report)["try_blocks"])
     assert max(map(len, written)) <= longest_row
+
+
+# -- rows built as they are read ----------------------------------------------
+
+def test_aggregated_rows_are_a_sequence(tmp_path):
+    platform = cyclic_tree(tmp_path, 1)
+    rows = analyze_project(tmp_path, platform, name="gen").report.try_blocks
+    assert not isinstance(rows, list)
+    first, again = list(rows), list(rows)
+    assert len(rows) == len(first) > 2
+    assert first == again
+    assert all(a is not b for a, b in zip(first, again))
+    assert rows[0] == first[0]
+    assert rows[-1] == first[-1]
+    assert rows[1:3] == first[1:3]
+    with pytest.raises(IndexError):
+        rows[len(first)]
+    assert [(r.file, r.line) for r in rows] == \
+        sorted((r.file, r.line) for r in rows)
+    # one evidence list per distinct evidence set, shared by the rows
+    lists = [x.evidence for r in first for x in (*r.exceptions, *r.facts)]
+    assert len({id(x) for x in lists}) == len({tuple(x) for x in lists})
+
+
+def test_empty_project_has_no_rows(tmp_path, jre_mini):
+    report = analyze_project(tmp_path, jre_mini, name="empty").report
+    assert not report.try_blocks
+    assert len(report.try_blocks) == 0
+    assert list(report.try_blocks) == []
+    assert report.try_blocks == []
+    assert '"try_blocks": [],' in report_to_json(report)
+    assert report_from_json(report_to_json(report)) == report
+
+
+@pytest.mark.parametrize("transitive", [False, True])
+def test_aggregated_and_loaded_reports_are_equal(tmp_path, transitive):
+    platform = cyclic_tree(tmp_path, 2)
+    report = analyze_project(tmp_path, platform,
+                             Config(transitive_origins=transitive),
+                             name="gen").report
+    loaded = report_from_json(report_to_json(report))
+    assert isinstance(loaded.try_blocks, list)
+    assert loaded == report
+    assert report == loaded
+    assert report.try_blocks == loaded.try_blocks
+    assert loaded.try_blocks == report.try_blocks
+    loaded.try_blocks[0].total += 1
+    assert loaded != report
+    assert report != loaded
+
+
+@pytest.fixture()
+def built_rows(monkeypatch):
+    """The try_id of every TryRow that report.py builds, in order."""
+    built = []
+    real = report_module.TryRow
+
+    def counting(*args, **kwargs):
+        row = real(*args, **kwargs)
+        built.append(row.try_id)
+        return row
+
+    monkeypatch.setattr(report_module, "TryRow", counting)
+    return built
+
+
+def test_each_emission_builds_each_row_once(tmp_path, built_rows):
+    platform = cyclic_tree(tmp_path, 3)
+    report = analyze_project(tmp_path, platform, name="gen").report
+    assert built_rows == []
+    assert report.totals.try_blocks == len(report.try_blocks) > 2
+    assert built_rows == []
+
+    assert emit_report(report, "json", tmp_path / "out.json") == \
+        [tmp_path / "out.json"]
+    ids = list(built_rows)
+    assert len(ids) == len(set(ids)) == report.totals.try_blocks
+    built_rows.clear()
+
+    assert len(emit_csv_tables([report], tmp_path / "csv")) == 5
+    assert built_rows == ids
+    built_rows.clear()
+
+    assert documentation_coverage(report).total_facts > 0
+    assert built_rows == ids
+
+
+def test_lint_builds_no_row(tmp_path, built_rows):
+    platform = cyclic_tree(tmp_path, 3)
+    result = analyze_project(tmp_path, platform, name="gen")
+    assert lint(result.bundles, Config(), result.model)
+    assert built_rows == []
