@@ -18,13 +18,14 @@ the parser, counts as a parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .config import Config, ConfigError, load_config
 from .driver import analyze_project
@@ -177,20 +178,31 @@ def _run_analysis(args: argparse.Namespace):
     return result, config
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    result, _config = _run_analysis(args)
+@contextlib.contextmanager
+def _writing(what: str, path: Optional[str]) -> Iterator[None]:
+    """A failed write of `what` to path (None or "-": stdout, flushed here,
+    not at interpreter exit) is a usage error: exit 2 with one line."""
+    to_stdout = path in (None, "-")
     try:
-        emit_report(result.report, args.format, args.out)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        yield
+        if to_stdout:
+            sys.stdout.flush()
     except OSError as exc:
-        if args.out in (None, "-") and isinstance(exc, BrokenPipeError):
+        if to_stdout and isinstance(exc, BrokenPipeError):
             # the reader has gone: what stdout still buffers goes nowhere,
             # rather than failing again when the interpreter exits
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
-        raise _UsageError(
-            f"cannot write report to {args.out or '-'}: {exc}")
+        raise _UsageError(f"cannot write {what} to {path or '-'}: {exc}")
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    result, _config = _run_analysis(args)
+    try:
+        with _writing("report", args.out):
+            emit_report(result.report, args.format, args.out)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     return 0
 
 
@@ -206,8 +218,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             fail_rules.add(RULE_FLAGS[token])
     result, config = _run_analysis(args)
     findings = lint(result.bundles, config, result.model)
-    for finding in findings:
-        print(finding.render())
+    with _writing("lint findings", None):
+        for finding in findings:
+            print(finding.render())
     if any(f.rule in fail_rules for f in findings):
         return 1
     return 0
@@ -263,13 +276,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "method": result.method,
     }
     text = json.dumps(doc, indent=2) + "\n"
-    if args.out and args.out != "-":
-        try:
+    with _writing("statistics", args.out or None):
+        if args.out and args.out != "-":
             Path(args.out).write_text(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write statistics to {args.out}: {exc}")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
     return 0
 
 

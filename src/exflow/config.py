@@ -28,6 +28,8 @@ DEFAULT_GENERIC_CATCH_TYPES = frozenset({
     "java.lang.Exception",
 })
 
+MAX_EXACT_TEST_CUTOFF = 50  # 100 vs 100 takes 18 s, 50 vs 50 about 1 s
+
 
 class ConfigError(Exception):
     pass
@@ -82,6 +84,10 @@ def config_from_dict(doc: object, source: str = "config") -> Config:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ConfigError(
                 f"{source}: config.exact_test_cutoff: expected a non-negative integer")
+        if value > MAX_EXACT_TEST_CUTOFF:
+            raise ConfigError(
+                f"{source}: config.exact_test_cutoff: {value} is above "
+                f"{MAX_EXACT_TEST_CUTOFF}, where the exact test gets too slow")
         config = replace(config, exact_test_cutoff=value)
     for key in _BOOL_KEYS:
         if key in doc:

@@ -43,7 +43,8 @@ def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,
                 raise
             diagnostics.append(f"skipped unparseable file: {exc}")
     model = build_semantic_model(units, platform)
-    sets = compute_method_exception_sets(model)
+    sets = compute_method_exception_sets(
+        model, transitive=config.transitive_origins)
     bundles = try_bundles(model, sets, config)
     report = aggregate_project(bundles, model, name or root.name,
                                transitive=config.transitive_origins)

@@ -20,9 +20,12 @@ evaluated once in sorted id order, and each time a method's set changes,
 its callers are queued again in sorted order. The order never depends on
 hashing. Sets only grow, so the worklist empties on recursive and mutually
 recursive call graphs too. A method's set maps each exception type to one
-MethodFact (evidence kinds and contributing methods), and an evaluation
-merges straight into it, type by type; the fixed point builds no
-per-origin fact objects.
+MethodFact, and an evaluation merges straight into it, type by type; the
+fixed point builds no per-origin fact objects.
+
+Only in transitive mode (`--transitive-origins`) does a MethodFact carry
+the contributing methods. Otherwise it is one shared object per evidence
+set, and a set changes only as types or evidence kinds are added.
 
 A try block's possible set is read off the same summary: the facts of its
 body's own sites plus what each try nested in it propagates, worked out
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from operator import attrgetter
 from typing import Iterator, Optional, Union
 
@@ -96,7 +99,7 @@ class PossibleException:
 
     origin_methods holds the directly invoked method for call-site facts
     (empty for lexical throws); source_methods holds every method that
-    contributed the type transitively along the call chain.
+    contributed the type along the call chain, in transitive mode only.
     """
 
     type: str
@@ -108,6 +111,9 @@ class PossibleException:
 
 @dataclass(frozen=True, slots=True)
 class MethodFact:
+    """Evidence kinds for one type in one method's set; sources holds the
+    contributing methods in transitive mode and is empty otherwise."""
+
     evidence: frozenset[EvidenceKind]
     sources: frozenset[MethodId]
 
@@ -160,7 +166,7 @@ class Region:
 class MethodSummary:
     """A corpus method body lowered once for every consumer."""
 
-    own: dict[str, MethodFact]  # declared and doc-tagged exceptions
+    own: dict[str, frozenset[EvidenceKind]]  # declared and doc-tagged kinds
     body: Region
     tries: dict[str, TryRegion]  # by try id
     callees: set[MethodId] = field(default_factory=set)
@@ -175,14 +181,14 @@ def method_summary(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
     return method.summary
 
 
-def compute_method_exception_sets(model: SemanticModel) -> MethodSets:
-    """Fixed-point possible-exception sets for every method in the table."""
+def compute_method_exception_sets(model: SemanticModel, *,
+                                  transitive: bool = False) -> MethodSets:
+    """Fixed-point sets for every method; sources only under transitive."""
     sets: MethodSets = {}
     for mid, entry in sorted(model.method_table.items()):
         if isinstance(entry, ExternalMethod):
-            sets[mid] = {tid: MethodFact(
-                frozenset({EvidenceKind.EXTERNAL_DOCUMENTATION}), frozenset({mid}))
-                for tid in entry.documented}
+            fact = _method_fact(_DOCUMENTED, frozenset({mid} if transitive else ()))
+            sets[mid] = dict.fromkeys(entry.documented, fact)
         else:
             sets[mid] = {}
 
@@ -198,7 +204,7 @@ def compute_method_exception_sets(model: SemanticModel) -> MethodSets:
     while worklist:
         method = worklist.popleft()
         queued.discard(method.id)
-        facts = _evaluate_method(method, sets, model)
+        facts = _evaluate_method(method, sets, model, transitive)
         if facts != sets[method.id]:
             sets[method.id] = facts
             for caller in callers.get(method.id, ()):
@@ -228,6 +234,10 @@ def attribute_sources(analysis: TryBlockAnalysis, *, transitive: bool = False
     """Per exception type: how many distinct methods it traces back to and
     the union of its evidence kinds. Direct invocations of the try body by
     default; transitive counts every contributing method instead."""
+    if transitive and any(f.origin_methods and not f.source_methods
+                          for f in analysis.possible):
+        raise ValueError(f"try block {analysis.try_id}: transitive counts "
+                         "need method sets computed with transitive=True")
     pool = attrgetter("source_methods" if transitive else "origin_methods")
     by_type: dict[str, list[PossibleException]] = {}
     for fact in analysis.possible:
@@ -242,7 +252,16 @@ def attribute_sources(analysis: TryBlockAnalysis, *, transitive: bool = False
 # ---------------------------------------------------------------------------
 
 _THROWN = frozenset({EvidenceKind.THROW_STATEMENT})
+_DOCUMENTED = frozenset({EvidenceKind.EXTERNAL_DOCUMENTATION})
 _EVIDENCE = attrgetter("evidence")
+
+
+# the one fact per evidence set that has no contributing methods
+_EVIDENCE_ONLY = cache(partial(MethodFact, sources=frozenset()))
+
+
+def _method_fact(evidence: frozenset, sources: frozenset) -> MethodFact:
+    return MethodFact(evidence, sources) if sources else _EVIDENCE_ONLY(evidence)
 
 
 def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
@@ -250,8 +269,7 @@ def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
     catch clauses, diagnosing each unknown exception name once."""
     unit = method.unit
     decl = method.decl
-    own: dict[str, MethodFact] = {}
-    itself = frozenset({method.id})
+    own: dict[str, frozenset[EvidenceKind]] = {}
     named = [(name, EvidenceKind.THROWS_DECLARATION,
               "unknown declared exception") for name in decl.declared_throws]
     if decl.doc is not None:
@@ -263,7 +281,7 @@ def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
         if tid is None:
             model.diagnostics.append(f"{decl.position}: {complaint} {name}")
         else:
-            _merge_method_fact(own, tid, MethodFact(frozenset({kind}), itself))
+            own[tid] = own.get(tid, frozenset()) | {kind}
 
     summary = MethodSummary(own, Region(), {})
     statements = decl.body.statements if decl.body is not None else []
@@ -319,14 +337,17 @@ def _caught_ids(model: SemanticModel, clause: CatchClause,
 
 
 def _evaluate_method(method: CorpusMethod, sets: MethodSets,
-                     model: SemanticModel) -> dict[str, MethodFact]:
+                     model: SemanticModel, transitive: bool
+                     ) -> dict[str, MethodFact]:
     """One application of the fixed-point equation to one method: its own
     facts, plus each lexical throw and each callee fact that no try around
     it in the method catches, merged by exception type."""
     summary = method_summary(model, method)
     ancestors = model.ancestors
-    facts = dict(summary.own)
-    thrown = MethodFact(_THROWN, frozenset({method.id}))
+    itself = frozenset({method.id} if transitive else ())
+    facts = {tid: _method_fact(kinds, itself)
+             for tid, kinds in summary.own.items()}
+    thrown = _method_fact(_THROWN, itself)
     stack: list[tuple[Region, frozenset[str]]] = [(summary.body, frozenset())]
     while stack:
         region, caught = stack.pop()
@@ -404,9 +425,10 @@ def _merge_method_fact(facts: dict[str, MethodFact], tid: str,
     existing = facts.get(tid)
     if existing is None:
         facts[tid] = fact
-    else:
-        facts[tid] = MethodFact(existing.evidence | fact.evidence,
-                                existing.sources | fact.sources)
+    elif not (fact.evidence <= existing.evidence
+              and fact.sources <= existing.sources):
+        facts[tid] = _method_fact(existing.evidence | fact.evidence,
+                                  existing.sources | fact.sources)
 
 
 def _first_match(above: frozenset[str],

@@ -252,8 +252,9 @@ def platform_document(corpus: GenCorpus) -> dict:
     return {"types": types, "methods": methods}
 
 
-def build_corpus_model(corpus: GenCorpus):
-    """Render, parse, and analyze; returns (model, method sets)."""
+def build_corpus_model(corpus: GenCorpus, *, transitive: bool = True):
+    """Render, parse, and analyze; returns (model, method sets). The sets
+    carry contributing methods unless transitive is false."""
     units = [
         parse_compilation_unit(render_app(corpus), "gen/App.java"),
         parse_compilation_unit(render_exceptions(corpus),
@@ -262,7 +263,7 @@ def build_corpus_model(corpus: GenCorpus):
     platform = parse_platform_document(platform_document(corpus),
                                        "generated platform")
     model = build_semantic_model(units, platform)
-    sets = compute_method_exception_sets(model)
+    sets = compute_method_exception_sets(model, transitive=transitive)
     return model, sets
 
 

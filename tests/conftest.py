@@ -6,7 +6,7 @@ import pytest
 TESTS = Path(__file__).parent
 sys.path.insert(0, str(TESTS))
 
-from exflow import analyze_project, load_platform_model  # noqa: E402
+from exflow import Config, analyze_project, load_platform_model  # noqa: E402
 
 FIG1_DIR = TESTS / "data" / "fig1"
 JRE_MINI = TESTS / "data" / "platform" / "jre_mini.json"
@@ -30,3 +30,9 @@ def jre_mini():
 @pytest.fixture(scope="session")
 def fig1_result(jre_mini):
     return analyze_project(FIG1_DIR, jre_mini)
+
+
+@pytest.fixture(scope="session")
+def fig1_transitive_result(jre_mini):
+    return analyze_project(FIG1_DIR, jre_mini,
+                           Config(transitive_origins=True))

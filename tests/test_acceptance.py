@@ -55,6 +55,24 @@ def _method_facts(sets, corpus):
     return out
 
 
+def _without_sources(by_type):
+    """Oracle facts {type: (evidence, sources)} as sets computed without
+    transitive=True hold them: the same evidence, no contributing methods."""
+    return {tid: (evidence, frozenset())
+            for tid, (evidence, _sources) in by_type.items()}
+
+
+def _try_facts(analysis):
+    """A try's possible facts in the oracle's shape: per type, (evidence
+    kind names, contributing methods)."""
+    got: dict = {}
+    for fact in analysis.possible:
+        evidence, sources = got.setdefault(fact.type, [set(), set()])
+        evidence.update(k.value for k in fact.evidence)
+        sources.update(fact.source_methods)
+    return {t: (frozenset(e), frozenset(s)) for t, (e, s) in got.items()}
+
+
 # -- criterion 1: Figure 1 golden corpus -------------------------------------
 
 def test_criterion_01_figure_one_golden(fig1_dir, jre_mini):
@@ -84,6 +102,8 @@ def test_criterion_01_figure_one_golden(fig1_dir, jre_mini):
 # -- criterion 2: acyclic corpora against the depth-first oracle -------------
 
 def test_criterion_02_acyclic_oracle_equivalence():
+    # transitive sets against the whole oracle; the default sets against
+    # its evidence, with no contributing methods anywhere
     start = time.perf_counter()
     corpora = 0
     tries_checked = 0
@@ -92,27 +112,28 @@ def test_criterion_02_acyclic_oracle_equivalence():
         model, sets = build_corpus_model(corpus)
         expected = oracle_acyclic(corpus)
         assert _method_facts(sets, corpus) == expected, f"seed {seed}"
+        direct_sets = compute_method_exception_sets(model)
+        assert _method_facts(direct_sets, corpus) == {
+            mid: _without_sources(by_type)
+            for mid, by_type in expected.items()}, f"seed {seed}"
         corpora += 1
 
         gen_tries = iter_tries(corpus)
         model_tries = model.try_blocks()
         assert len(gen_tries) == len(model_tries), f"seed {seed}"
-        for (owner_index, gen_try), (method, stmt) in zip(gen_tries,
-                                                          model_tries):
-            analysis = analyze_try_block(stmt, sets, model, method)
-            want_facts, want_direct = oracle_try_possible(
-                corpus, expected, owner_index, gen_try)
-            got: dict = {}
-            for fact in analysis.possible:
-                evidence, sources = got.setdefault(fact.type, [set(), set()])
-                evidence.update(k.value for k in fact.evidence)
-                sources.update(fact.source_methods)
-            packed = {t: (frozenset(e), frozenset(s))
-                      for t, (e, s) in got.items()}
-            assert packed == want_facts, f"seed {seed}"
-            want_counts = {t: len(m) for t, m in want_direct.items()}
-            assert analysis.distinct_method_count == want_counts, f"seed {seed}"
-            tries_checked += 1
+        tries_checked += len(model_tries)
+        for mode_sets in (sets, direct_sets):
+            for (owner_index, gen_try), (method, stmt) in zip(gen_tries,
+                                                              model_tries):
+                analysis = analyze_try_block(stmt, mode_sets, model, method)
+                want_facts, want_direct = oracle_try_possible(
+                    corpus, expected, owner_index, gen_try)
+                if mode_sets is direct_sets:
+                    want_facts = _without_sources(want_facts)
+                assert _try_facts(analysis) == want_facts, f"seed {seed}"
+                want_counts = {t: len(m) for t, m in want_direct.items()}
+                assert analysis.distinct_method_count == want_counts, \
+                    f"seed {seed}"
     elapsed = time.perf_counter() - start
     assert corpora == 1000 and tries_checked > 1000
     assert elapsed < 60.0, f"suite took {elapsed:.1f}s"
@@ -125,9 +146,12 @@ def test_criterion_03_cyclic_oracle_equivalence():
     for seed in range(300):
         corpus = generate_corpus(seed, cyclic=True, max_methods=10,
                                  allow_tries=False)
-        _model, sets = build_corpus_model(corpus)
-        assert _method_facts(sets, corpus) == oracle_cyclic(corpus), \
-            f"seed {seed}"
+        model, sets = build_corpus_model(corpus)
+        expected = oracle_cyclic(corpus)
+        assert _method_facts(sets, corpus) == expected, f"seed {seed}"
+        assert _method_facts(compute_method_exception_sets(model), corpus) \
+            == {mid: _without_sources(by_type)
+                for mid, by_type in expected.items()}, f"seed {seed}"
     _pass(3)
 
 

@@ -164,14 +164,11 @@ def test_report_failing_partway_is_removed(capsys, tmp_path, monkeypatch,
     assert not failed.exists()
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_closed_stdout_exits_two_with_one_line(tmp_path, jre_mini_path,
-                                               unbuffered):
-    # 150 tries that each call 20 methods throwing 20 exception types:
-    # rows of about 8 KB, a report far larger than a pipe holds. Without
-    # PYTHONUNBUFFERED, bytes are still buffered when the reader closes,
-    # and the interpreter flushes stdout once more as it exits.
-    project = tmp_path / "src"
+def _big_project(root: Path, jre_mini_path: Path) -> tuple[Path, Path]:
+    """A project of 150 tries that each call 20 methods throwing 20
+    exception types: rows of about 8 KB, a report far larger than a pipe
+    holds. Returns the project and its report, saved to a file."""
+    project = root / "src"
     project.mkdir()
     calls = " ".join(f"t{i}();" for i in range(20))
     (project / "Big.java").write_text(
@@ -181,34 +178,76 @@ def test_closed_stdout_exits_two_with_one_line(tmp_path, jre_mini_path,
         + "".join(f"  void m{m}() {{ try {{ {calls} }} catch (E0 e) {{}} }}\n"
                   for m in range(150))
         + "}\n")
-    saved = tmp_path / "report.json"
+    saved = root / "report.json"
     assert main(["analyze", "--project", str(project),
                  "--platform", str(jre_mini_path), "--out", str(saved)]) == 0
     assert saved.stat().st_size >= 1 << 20
+    return project, saved
 
+
+def _run_with_closed_stdout(argv: list[str], keep: int, unbuffered: str,
+                            root: Path) -> tuple[bytes, int, str]:
+    """Run exflow in a child whose stdout reader closes after keep bytes;
+    returns those bytes, the exit code and stderr. Without
+    PYTHONUNBUFFERED, bytes are still buffered when the reader closes,
+    and the interpreter flushes stdout once more as it exits."""
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep
                .join([str(Path(exflow.__file__).parents[1]),
                       os.environ.get("PYTHONPATH", "")]))
     command = [sys.executable, "-c",
                "import sys; from exflow.cli import main; sys.exit(main())",
-               "analyze", "--project", str(project),
-               "--platform", str(jre_mini_path)]
-    with open(tmp_path / "stderr", "w+") as stderr:
+               *argv]
+    with open(root / "stderr", "w+") as stderr:
         with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=stderr,
                               env=env) as child:
-            head = child.stdout.read(20)
+            head = child.stdout.read(keep)
             child.stdout.close()
             code = child.wait(timeout=300)
         stderr.seek(0)
-        err = stderr.read()
-    assert head == saved.read_bytes()[:20]
-    assert code == 2
+        return head, code, stderr.read()
+
+
+def _assert_one_error_line(err: str, what: str) -> None:
     assert [line for line in err.splitlines()
             if line.startswith("error:")] == [
-        "error: cannot write report to -: "
+        f"error: cannot write {what} to -: "
         f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"]
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_two_with_one_line(tmp_path, jre_mini_path,
+                                               unbuffered):
+    project, saved = _big_project(tmp_path, jre_mini_path)
+    head, code, err = _run_with_closed_stdout(
+        ["analyze", "--project", str(project), "--platform",
+         str(jre_mini_path)], 20, unbuffered, tmp_path)
+    assert head == saved.read_bytes()[:20]
+    assert code == 2
+    _assert_one_error_line(err, "report")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", ["lint", "stats"])
+def test_closed_stdout_for_lint_and_stats_exits_two(tmp_path, jre_mini_path,
+                                                    command, unbuffered):
+    # lint prints far more than a pipe holds, and its reader closes after
+    # 20 bytes; stats prints a few lines, so its reader closes at once
+    project, saved = _big_project(tmp_path, jre_mini_path)
+    if command == "lint":
+        argv = ["lint", "--project", str(project),
+                "--platform", str(jre_mini_path)]
+        what, keep = "lint findings", 20
+    else:
+        argv = ["stats", "--group-a", str(saved), "--group-b", str(saved),
+                "--metric", "total"]
+        what, keep = "statistics", 0
+    head, code, err = _run_with_closed_stdout(argv, keep, unbuffered,
+                                              tmp_path)
+    assert len(head) == keep
+    assert code == 2
+    _assert_one_error_line(err, what)
 
 
 def test_lint_prints_without_failing(capsys, fig1_dir, jre_mini_path):

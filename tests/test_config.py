@@ -79,6 +79,7 @@ def test_unknown_keys_rejected():
     ({"exact_test_cutoff": "12"}, "non-negative"),
     ({"transitive_origins": 1}, "expected a boolean"),
     ([], "expected an object"),
+    ({"exact_test_cutoff": 51}, "above 50"),
 ])
 def test_bad_values_rejected(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):

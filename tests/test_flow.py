@@ -54,11 +54,11 @@ def flow_platform(methods=()):
     return parse_platform_document(doc, "flow-test")
 
 
-def build(source, platform=None):
+def build(source, platform=None, *, transitive=True):
     unit = parse_compilation_unit(
         "package app;\nimport java.io.IOException;\n" + source, "A.java")
     model = build_semantic_model([unit], platform or flow_platform())
-    return model, compute_method_exception_sets(model)
+    return model, compute_method_exception_sets(model, transitive=transitive)
 
 
 def mid(name, arity=0):
@@ -192,7 +192,7 @@ def test_external_documentation(jre_mini):
         "import java.nio.file.Paths;\n"
         "class A { void f() { Paths.getPath(\"x\"); } }\n", "A.java")
     model = build_semantic_model([unit], jre_mini)
-    sets = compute_method_exception_sets(model)
+    sets = compute_method_exception_sets(model, transitive=True)
     facts = sets[("app.A", "f", 0)]
     ipe = "java.nio.file.InvalidPathException"
     assert facts[ipe].evidence == {ED}
@@ -240,8 +240,8 @@ def fig1_try(fig1_result):
     return model, method, stmt
 
 
-def test_figure_one_method_sets(fig1_result):
-    sets = fig1_result.method_sets
+def test_figure_one_method_sets(fig1_transitive_result):
+    sets = fig1_transitive_result.method_sets
     ex = "fig1.Example"
     ipe = "java.nio.file.InvalidPathException"
     c_facts = sets[(ex, "C", 0)]
@@ -275,9 +275,10 @@ def test_figure_one_try_partition(fig1_result):
     assert analysis.distinct_method_count == {IOE: 1, ipe: 1}
 
 
-def test_figure_one_attribution_direct_and_transitive(fig1_result):
-    model, method, stmt = fig1_try(fig1_result)
-    analysis = analyze_try_block(stmt, fig1_result.method_sets, model, method)
+def test_figure_one_attribution_direct_and_transitive(fig1_transitive_result):
+    model, method, stmt = fig1_try(fig1_transitive_result)
+    analysis = analyze_try_block(stmt, fig1_transitive_result.method_sets,
+                                 model, method)
     direct = attribute_sources(analysis)
     assert direct[IOE] == (1, frozenset({TS, TD, DC}))
     transitive = attribute_sources(analysis, transitive=True)
@@ -285,6 +286,16 @@ def test_figure_one_attribution_direct_and_transitive(fig1_result):
     ipe = "java.nio.file.InvalidPathException"
     assert direct[ipe] == (1, frozenset({ED}))
     assert transitive[ipe][0] == 1
+
+
+def test_transitive_counts_need_transitive_sets(fig1_result):
+    # the default sets carry no contributing methods, so a transitive count
+    # over them would read 0 for every call-site fact
+    model, method, stmt = fig1_try(fig1_result)
+    analysis = analyze_try_block(stmt, fig1_result.method_sets, model, method)
+    with pytest.raises(ValueError, match="transitive=True"):
+        attribute_sources(analysis, transitive=True)
+    assert attribute_sources(analysis)[IOE] == (1, frozenset({TS, TD, DC}))
 
 
 def test_direct_throw_in_try_has_no_source_methods():
@@ -429,9 +440,9 @@ def count_evaluations(monkeypatch):
     seen = []
     evaluate = flow._evaluate_method
 
-    def counting(method, sets, model):
+    def counting(method, *args):
         seen.append(method.id)
-        return evaluate(method, sets, model)
+        return evaluate(method, *args)
 
     monkeypatch.setattr(flow, "_evaluate_method", counting)
     return seen
@@ -483,6 +494,46 @@ def test_call_ring_takes_linear_work(monkeypatch):
     assert len(model.try_blocks()) == n
 
 
+def test_default_fixed_point_work_is_linear_when_every_method_throws(
+        monkeypatch):
+    # m000 -> m001 -> ... -> m399, each throwing IOException: tracking the
+    # contributing methods grows every set once per method below it and
+    # takes n * (n + 1) / 2 evaluations; evidence alone never grows
+    n = 400
+    body = "".join(
+        f"  void m{i:03d}() {{ m{i + 1:03d}(); throw new IOException(); }}\n"
+        for i in range(n - 1))
+    body += f"  void m{n - 1:03d}() {{ throw new IOException(); }}\n"
+    evaluations = count_evaluations(monkeypatch)
+    _model, sets = build("class A {\n" + body + "}\n", transitive=False)
+    assert len(evaluations) <= 2 * n + 1
+    for i in range(n):
+        facts = facts_of(sets, f"m{i:03d}")
+        assert set(facts) == {IOE}
+        assert facts[IOE] == flow.MethodFact(frozenset({TS}), frozenset())
+
+
+@pytest.mark.parametrize("tree", ["fig1", "cyclic-corpus"])
+def test_default_sets_share_one_fact_per_evidence_set(fig1_result, tree):
+    if tree == "fig1":
+        model, sets = fig1_result.model, fig1_result.method_sets
+    else:
+        model, sets = build_corpus_model(
+            generate_corpus(5, cyclic=True, max_methods=40, max_try_depth=3),
+            transitive=False)
+    facts = [fact for by_type in sets.values() for fact in by_type.values()]
+    assert facts
+    assert all(fact.sources == frozenset() for fact in facts)
+    distinct = {id(fact) for fact in facts}
+    assert len(distinct) <= 16
+    assert len(distinct) == len({fact.evidence for fact in facts})
+    analyses = [analyze_try_block(stmt, sets, model, method)
+                for method, stmt in model.try_blocks()]
+    assert any(analysis.possible for analysis in analyses)
+    assert all(fact.source_methods == frozenset()
+               for analysis in analyses for fact in analysis.possible)
+
+
 def test_deep_try_nest_partition():
     # try k (k = 0 outermost) calls h() on its own line and wraps try k + 1;
     # every 50th try catches RuntimeException, the others a name that
@@ -524,9 +575,9 @@ from _corpus import build_corpus_model, generate_corpus
 from exflow import flow
 order = []
 evaluate = flow._evaluate_method
-def counting(method, sets, model):
+def counting(method, *args):
     order.append(list(method.id))
-    return evaluate(method, sets, model)
+    return evaluate(method, *args)
 flow._evaluate_method = counting
 for seed in range(5):
     build_corpus_model(generate_corpus(seed, cyclic=True, max_methods=40))
