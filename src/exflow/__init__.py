@@ -15,7 +15,7 @@ from .driver import AnalysisResult, analyze_project
 from .flow import (
     CallSiteOrigin, EvidenceKind, LexicalThrowOrigin, MethodFact,
     PossibleException, TryBlockAnalysis, analyze_try_block,
-    attribute_sources, compute_method_exception_sets,
+    attribute_sources, compute_method_exception_sets, try_blocks,
 )
 from .lint import LintFinding, lint
 from .model import (
@@ -74,6 +74,7 @@ __all__ = [
     "parse_compilation_unit",
     "report_from_json",
     "report_to_json",
+    "try_blocks",
     "validate_platform_closure",
     "wilcoxon_rank_sum",
 ]

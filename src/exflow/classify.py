@@ -64,11 +64,11 @@ def classify_strategy(fact_type: str, matched_type: str,
     return Strategy.SUBSUMPTION
 
 
-def classify_actions(clause: CatchClause, config: Optional[Config] = None,
-                     model: Optional[SemanticModel] = None) -> frozenset[Action]:
+def classify_actions(clause: CatchClause,
+                     config: Optional[Config] = None) -> frozenset[Action]:
     """Detect every action the handler performs; see the module docstring
     for the taxonomy. Detection is syntactic except Abort, which prefers
-    the resolved callee when a model is supplied."""
+    the callee that the lowering of the method stored on the call."""
     cfg = config if config is not None else Config()
     actions: set[Action] = set()
     statements = clause.body.statements
@@ -95,7 +95,7 @@ def classify_actions(clause: CatchClause, config: Optional[Config] = None,
         elif isinstance(stmt, ThrowStmt):
             actions.update(_throw_actions(stmt, clause.variable))
     for call in calls:
-        if _is_abort(call, abort_sigs, cfg, model):
+        if _is_abort(call, abort_sigs, cfg):
             actions.add(Action.ABORT)
         elif _is_log(call, cfg):
             actions.add(Action.LOG)
@@ -165,11 +165,10 @@ def _split_signature(signature: str) -> tuple[str, str, str, int]:
 
 
 def _is_abort(call: Invocation, abort_sigs: list[tuple[str, str, str, int]],
-              cfg: Config, model: Optional[SemanticModel]) -> bool:
-    if model is not None:
-        resolved = model.resolve_invocation(call)
-        if isinstance(resolved, tuple) and method_id_str(resolved) in cfg.abort_signatures:
-            return True
+              cfg: Config) -> bool:
+    resolved = call.callee
+    if isinstance(resolved, tuple) and method_id_str(resolved) in cfg.abort_signatures:
+        return True
     dotted = _receiver_dotted(call)
     if dotted is None:
         return False

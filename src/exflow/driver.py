@@ -9,7 +9,9 @@ from typing import Optional, Union
 
 from .classify import HandlerClassification, classify_actions
 from .config import Config
-from .flow import MethodSets, analyze_try_block, compute_method_exception_sets
+from .flow import (
+    MethodSets, analyze_try_block, compute_method_exception_sets, try_blocks,
+)
 from .model import PlatformModel, SemanticModel, build_semantic_model
 from .report import ProjectReport, TryBundle, aggregate_project
 from .syntax import CompilationUnit, ParseError, parse_compilation_unit
@@ -58,10 +60,10 @@ def try_bundles(model: SemanticModel, sets: MethodSets,
     of each of its handlers."""
     return [TryBundle(stmt, analyze_try_block(stmt, sets, model, method),
                       [HandlerClassification(
-                          clause.id, classify_actions(clause, config, model))
+                          clause.id, classify_actions(clause, config))
                        for clause in stmt.catches],
                       method.unit)
-            for method, stmt in model.try_blocks()]
+            for method, stmt in try_blocks(model)]
 
 
 def _parse_file(path: Path) -> CompilationUnit:

@@ -1,12 +1,14 @@
 """Possible-exception computation.
 
-Each corpus method body is lowered once into a MethodSummary: the method's
-declared and doc-tagged exceptions, and a tree of regions. A region lists
-the lexical `throw new X()` sites (type resolved) and the call sites
-(callee resolved) whose exceptions reach it unfiltered, and the try
-statements it holds, each with its catch clauses resolved to type ids and
-the region of its body. Catch and finally bodies belong to the region
-around their try.
+Each corpus method body is lowered into a MethodSummary in one walk, the
+only walk of the body: the method's declared and doc-tagged exceptions,
+and a tree of regions. A region lists the lexical `throw new X()` sites
+(type resolved) and the call sites whose exceptions reach it unfiltered,
+and the try statements it holds, each with its catch clauses resolved to
+type ids and the region of its body. Catch and finally bodies belong to
+the region around their try. The walk tracks the declared variables in
+scope and resolves each call as it reaches it, through
+SemanticModel.resolve_invocation, which keeps the callee on the call node.
 
 Per-method escaping sets are the least fixed point of
 
@@ -48,15 +50,15 @@ from typing import Iterator, Optional, Union
 
 from .classify import Strategy, classify_strategy
 from .model import (
-    CorpusMethod, ExternalMethod, MethodId, SemanticModel, Unresolved,
-    method_id_str,
+    CorpusMethod, ExternalMethod, MethodId, Scope, SemanticModel,
+    Unresolved, method_id_str,
 )
 from .syntax.ast import (
-    Block, CatchClause, CompilationUnit, Invocation, Lambda, NewInstance,
-    SourcePosition, Statement, ThrowStmt, TryStmt,
+    Block, CatchClause, Expr, Invocation, Lambda, LocalDecl, LoopStmt,
+    NewInstance, SourcePosition, Statement, ThrowStmt, TryStmt,
 )
 from .syntax.walk import (
-    iter_expressions, statement_children, statement_expressions,
+    statement_children, statement_expressions, sub_expressions,
 )
 
 import enum
@@ -181,6 +183,15 @@ def method_summary(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
     return method.summary
 
 
+def try_blocks(model: SemanticModel) -> list[tuple[CorpusMethod, TryStmt]]:
+    """Every try statement with its enclosing method, in position order."""
+    pairs = [(method, region.stmt) for method in model.corpus_methods()
+             for region in method_summary(model, method).tries.values()]
+    pairs.sort(key=lambda pair: (pair[1].position.file, pair[1].position.line,
+                                 pair[1].position.column))
+    return pairs
+
+
 def compute_method_exception_sets(model: SemanticModel, *,
                                   transitive: bool = False) -> MethodSets:
     """Fixed-point sets for every method; sources only under transitive."""
@@ -266,7 +277,8 @@ def _method_fact(evidence: frozenset, sources: frozenset) -> MethodFact:
 
 def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
     """Resolve the method's own exceptions, throw sites, call sites and
-    catch clauses, diagnosing each unknown exception name once."""
+    catch clauses in one walk of its body, diagnosing each unknown
+    exception name once."""
     unit = method.unit
     decl = method.decl
     own: dict[str, frozenset[EvidenceKind]] = {}
@@ -284,56 +296,133 @@ def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
             own[tid] = own.get(tid, frozenset()) | {kind}
 
     summary = MethodSummary(own, Region(), {})
-    statements = decl.body.statements if decl.body is not None else []
-    stack = [(stmt, summary.body) for stmt in reversed(statements)]
-    while stack:
-        stmt, region = stack.pop()
-        pending: list[tuple[Statement, Region]] = []
-        if isinstance(stmt, TryStmt):
-            clauses = tuple((clause, _caught_ids(model, clause, unit))
-                            for clause in stmt.catches)
-            inner = TryRegion(stmt, clauses, frozenset(
-                tid for _clause, ids in clauses for tid in ids), Region())
-            region.tries.append(inner)
-            summary.tries[stmt.id] = inner
-            pending += [(child, inner.body) for child in stmt.body.statements]
-            handlers = [clause.body for clause in stmt.catches]
-            if stmt.finally_block is not None:
-                handlers.append(stmt.finally_block)
-            pending += [(child, region) for block in handlers
-                        for child in block.statements]
+    if decl.body is not None:
+        params = Scope()
+        for param in decl.params:
+            params.declare(param.name, param.type_name)
+        _Lowering(model, method, summary).statement(decl.body, params,
+                                                    summary.body)
+    return summary
+
+
+class _Lowering:
+    """The walk of one method body. A statement list shares one scope, so a
+    declaration is seen by the statements after it; every nested statement
+    and block opens a scope of its own. Calls resolve in pre-order, left
+    to right, and a lambda or anonymous-class body is walked where it
+    stands, in the region of the statement that holds it."""
+
+    __slots__ = ("model", "method", "summary")
+
+    def __init__(self, model: SemanticModel, method: CorpusMethod,
+                 summary: MethodSummary):
+        self.model = model
+        self.method = method
+        self.summary = summary
+
+    def statements(self, statements: list[Statement], scope: Scope,
+                   region: Region) -> None:
+        for stmt in statements:
+            self.statement(stmt, scope, region)
+
+    def statement(self, stmt: Statement, scope: Scope, region: Region) -> None:
+        if isinstance(stmt, Block):
+            self.statements(stmt.statements, Scope(scope), region)
+        elif isinstance(stmt, LocalDecl):
+            for var in stmt.declarations:
+                if var.initializer is not None:
+                    self.expression(var.initializer, scope, region)
+                scope.declare(var.name, var.type_name)
+        elif isinstance(stmt, LoopStmt):
+            inner = Scope(scope)
+            self.statements(stmt.init, inner, region)
+            if stmt.condition is not None:
+                self.expression(stmt.condition, inner, region)
+            for update in stmt.update:
+                self.expression(update, inner, region)
+            self.statement(stmt.body, Scope(inner), region)
+        elif isinstance(stmt, TryStmt):
+            self.try_statement(stmt, scope, region)
         else:
             if isinstance(stmt, ThrowStmt) and isinstance(stmt.thrown, NewInstance):
-                tid = model.resolve_exception_name(stmt.thrown.type_name, unit)
+                name = stmt.thrown.type_name
+                tid = self.model.resolve_exception_name(name, self.method.unit)
                 if tid is None:
-                    model.diagnostics.append(
-                        f"{stmt.position}: thrown type {stmt.thrown.type_name} "
-                        f"is not a known exception")
+                    self.model.diagnostics.append(
+                        f"{stmt.position}: thrown type {name} is not a known "
+                        f"exception")
                 else:
                     region.throws.append(PossibleException(
                         tid, LexicalThrowOrigin(stmt.position), _THROWN,
                         frozenset(), frozenset()))
             for expr in statement_expressions(stmt):
-                for node in iter_expressions(expr):
-                    if isinstance(node, (Invocation, NewInstance)):
-                        callee = model.resolve_invocation(node)
-                        if not isinstance(callee, Unresolved):
-                            region.calls.append(CallSiteOrigin(node.position, callee))
-                            summary.callees.add(callee)
-                    if isinstance(node, Lambda) and isinstance(node.body, Block):
-                        pending += [(child, region) for child in node.body.statements]
-                    elif isinstance(node, NewInstance) and node.anonymous_body is not None:
-                        pending += [(child, region)
-                                    for child in node.anonymous_body.statements]
-            pending += [(child, region) for child in statement_children(stmt)]
-        stack.extend(reversed(pending))
-    return summary
+                self.expression(expr, scope, region)
+            for child in statement_children(stmt):
+                self.statement(child, Scope(scope), region)
+
+    def try_statement(self, stmt: TryStmt, scope: Scope,
+                      region: Region) -> None:
+        """The body goes into the try's own region; each clause's caught
+        names are resolved as the clause is reached, and its body, like
+        the finally block, stays in the region around the try."""
+        inner = TryRegion(stmt, (), frozenset(), Region())
+        region.tries.append(inner)
+        self.summary.tries[stmt.id] = inner
+        self.statements(stmt.body.statements, Scope(scope), inner.body)
+        clauses = []
+        for clause in stmt.catches:
+            clauses.append((clause, _caught_ids(self.model, clause,
+                                                self.method)))
+            catch_scope = Scope(scope)
+            catch_scope.declare(clause.variable, clause.caught_types[0])
+            self.statements(clause.body.statements, catch_scope, region)
+        inner.clauses = tuple(clauses)
+        inner.caught = frozenset(tid for _clause, ids in clauses for tid in ids)
+        if stmt.finally_block is not None:
+            self.statements(stmt.finally_block.statements, Scope(scope), region)
+
+    def expression(self, expr: Expr, scope: Scope, region: Region) -> None:
+        """Resolve every call in the expression. The walk keeps its own
+        stack, so a long concatenation nests to any depth; only a lambda
+        body, which has its own scope, is walked by a nested call."""
+        model, method, summary = self.model, self.method, self.summary
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (Invocation, NewInstance)):
+                callee = model.resolve_invocation(node, method, scope)
+                if not isinstance(callee, Unresolved):
+                    region.calls.append(CallSiteOrigin(node.position, callee))
+                    summary.callees.add(callee)
+                if isinstance(node, NewInstance) and node.anonymous_body is not None:
+                    self.statements(node.anonymous_body.statements,
+                                    Scope(scope), region)
+            elif isinstance(node, Lambda):
+                inner = Scope(scope)
+                for param in node.parameters:
+                    inner.declare(param, None)
+                if isinstance(node.body, Block):
+                    self.statements(node.body.statements, inner, region)
+                else:
+                    self.expression(node.body, inner, region)
+                continue
+            stack.extend(reversed(sub_expressions(node)))
 
 
 def _caught_ids(model: SemanticModel, clause: CatchClause,
-                unit: CompilationUnit) -> tuple[str, ...]:
-    resolved = (model.resolve_type_name(name, unit) for name in clause.caught_types)
-    return tuple(tid for tid in resolved if tid in model.types)
+                method: CorpusMethod) -> tuple[str, ...]:
+    """The clause's caught names as type ids; a name that is not a known
+    exception is diagnosed, and one that is not in the model is left out."""
+    ids = []
+    for name in clause.caught_types:
+        tid = model.resolve_type_name(name, method.unit)
+        if tid is None or tid not in model.exception_universe:
+            model.diagnostics.append(
+                f"{clause.position}: caught type {name} is not a known "
+                f"exception; the clause matches nothing")
+        if tid in model.types:
+            ids.append(tid)
+    return tuple(ids)
 
 
 def _evaluate_method(method: CorpusMethod, sets: MethodSets,

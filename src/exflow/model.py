@@ -1,5 +1,5 @@
-"""Semantic model: type hierarchy, method table, call resolution and the
-try index.
+"""Semantic model: type hierarchy, method table and the call resolution
+policy.
 
 External dependencies are described by declarative platform-model files
 rather than compiled binaries. A platform model contributes exception
@@ -11,8 +11,9 @@ Call sites resolve against the receiver's declared type only, by method
 name and arity, walking up the superclass chain. Receivers whose type
 cannot be established statically stay Unresolved and contribute nothing,
 which keeps the analysis an under-estimate rather than an over-estimate.
-The same pass over each method body indexes its try statements and
-diagnoses caught names that are not known exceptions.
+Building the model walks no method body: flow's lowering walks each body
+once, tracks the declared variables in a Scope, and hands every call to
+SemanticModel.resolve_invocation, which stores the callee on the call.
 """
 
 from __future__ import annotations
@@ -25,12 +26,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from .syntax.ast import (
-    Block, Cast, CompilationUnit, Expr, FieldAccess, Invocation, Lambda,
-    Literal, LocalDecl, LoopStmt, MethodDecl, Name, NewInstance, Statement,
-    TryStmt, TypeDecl,
-)
-from .syntax.walk import (
-    statement_children, statement_expressions, sub_expressions,
+    Cast, CompilationUnit, Expr, FieldAccess, Invocation, Literal,
+    MethodDecl, Name, NewInstance, TypeDecl,
 )
 
 if TYPE_CHECKING:
@@ -232,7 +229,6 @@ class TypeEntry:
     id: str
     origin: str  # "corpus" | "platform"
     superclass: Optional[str]  # resolved type id
-    decl: Optional[TypeDecl] = None
     platform: Optional[PlatformType] = None
 
 
@@ -242,7 +238,7 @@ class CorpusMethod:
     decl: MethodDecl
     owner: TypeDecl
     unit: CompilationUnit
-    # lowered on first use by flow.method_summary
+    # lowered, and its calls resolved, on first use by flow.method_summary
     summary: Optional["MethodSummary"] = field(default=None, repr=False,
                                                compare=False)
 
@@ -259,11 +255,10 @@ class Unresolved:
 
 
 class SemanticModel:
-    """Immutable resolved view of a corpus plus its platform model."""
+    """Resolved view of a corpus plus its platform model: types, hierarchy
+    and method table, and the policy that resolves one call site."""
 
-    def __init__(self, units: list[CompilationUnit], platform: PlatformModel):
-        self.units = list(units)
-        self.platform = platform
+    def __init__(self):
         self.types: dict[str, TypeEntry] = {}
         self.method_table: dict[MethodId, Union[CorpusMethod, ExternalMethod]] = {}
         self.exception_universe: frozenset[str] = frozenset()
@@ -273,8 +268,6 @@ class SemanticModel:
         self.diagnostics: list[str] = []
         self.unresolved_count = 0
         self._ambiguous: set[MethodId] = set()
-        self._resolution: dict[int, Union[MethodId, Unresolved]] = {}
-        self._tries: list[tuple[CorpusMethod, TryStmt]] = []
         self._method_owners: set[str] = set()
 
     # -- queries ----------------------------------------------------------
@@ -285,14 +278,25 @@ class SemanticModel:
         methods.sort(key=lambda m: m.id)
         return methods
 
-    def try_blocks(self) -> list[tuple[CorpusMethod, TryStmt]]:
-        """Every try statement with its enclosing method, in position order."""
-        return list(self._tries)
-
-    def resolve_invocation(self, call: Union[Invocation, NewInstance]) -> Union[MethodId, Unresolved]:
-        """Resolution computed during model build, under the declared-type
-        policy; a call outside the analyzed corpus reports Unresolved."""
-        return self._resolution.get(id(call), Unresolved("outside the analyzed corpus"))
+    def resolve_invocation(self, call: Union[Invocation, NewInstance],
+                           method: CorpusMethod, scope: Scope
+                           ) -> Union[MethodId, Unresolved]:
+        """Resolve one call site of the method under the declared-type
+        policy, with the variables the scope declares at the call, and
+        store the result as call.callee. An unresolved call is counted and
+        diagnosed."""
+        if isinstance(call, Invocation):
+            result = self._resolve_call(call, method, scope)
+        else:
+            result = self._lookup_by_name(call.type_name, "<init>",
+                                          call.arity, method.unit)
+        call.callee = result
+        if isinstance(result, Unresolved):
+            self.unresolved_count += 1
+            name = call.name if isinstance(call, Invocation) else f"new {call.type_name}"
+            self.diagnostics.append(
+                f"{call.position}: unresolved call to {name!r} ({result.reason})")
+        return result
 
     def is_subtype(self, a: str, b: str) -> bool:
         """True iff b is reachable from a via superclass edges (reflexive)."""
@@ -352,14 +356,88 @@ class SemanticModel:
     def _known_type(self, tid: str) -> bool:
         return tid in self.types or tid in self._method_owners
 
+    # -- call resolution --------------------------------------------------
+
+    def _resolve_call(self, call: Invocation, method: CorpusMethod,
+                      scope: Scope) -> Union[MethodId, Unresolved]:
+        owner = method.owner.name
+        unit = method.unit
+        receiver = call.receiver
+        if receiver is None:
+            if call.name == "this":
+                return self._lookup(owner, "<init>", call.arity)
+            if call.name == "super":
+                parent = self.types[owner].superclass
+                if parent is None:
+                    return Unresolved("no superclass constructor")
+                return self._lookup(parent, "<init>", call.arity)
+            return self._lookup(owner, call.name, call.arity)
+        if isinstance(receiver, Name):
+            ident = receiver.identifier
+            if ident == "this":
+                return self._lookup(owner, call.name, call.arity)
+            if ident == "super":
+                parent = self.types[owner].superclass
+                if parent is None:
+                    return Unresolved("no superclass")
+                return self._lookup(parent, call.name, call.arity)
+            found, declared = scope.lookup(ident)
+            if found:
+                if declared is None:
+                    return Unresolved(f"untyped variable {ident}")
+                return self._lookup_by_name(declared, call.name, call.arity, unit)
+            tid = self.resolve_type_name(ident, unit)
+            if tid is None:
+                return Unresolved(f"unknown receiver {ident}")
+            return self._lookup(tid, call.name, call.arity)
+        if isinstance(receiver, FieldAccess):
+            dotted = _render_dotted(receiver)
+            if dotted is not None:
+                root = dotted.split(".", 1)[0]
+                found, _ = scope.lookup(root)
+                if not found:
+                    tid = self.resolve_type_name(dotted, unit)
+                    if tid is not None:
+                        return self._lookup(tid, call.name, call.arity)
+            return Unresolved("receiver is a field access")
+        if isinstance(receiver, (NewInstance, Cast)):
+            return self._lookup_by_name(receiver.type_name, call.name,
+                                        call.arity, unit)
+        if isinstance(receiver, Literal):
+            if receiver.text.startswith('"') and self._known_type("java.lang.String"):
+                return self._lookup("java.lang.String", call.name, call.arity)
+            return Unresolved("literal receiver")
+        return Unresolved("receiver type is not declared")
+
+    def _lookup_by_name(self, type_name: str, name: str, arity: int,
+                        unit: CompilationUnit) -> Union[MethodId, Unresolved]:
+        tid = self.resolve_type_name(type_name, unit)
+        if tid is None:
+            return Unresolved(f"unknown type {type_name}")
+        return self._lookup(tid, name, arity)
+
+    def _lookup(self, tid: str, name: str, arity: int) -> Union[MethodId, Unresolved]:
+        cur: Optional[str] = tid
+        seen: set[str] = set()
+        while cur is not None and cur not in seen:
+            seen.add(cur)
+            mid: MethodId = (cur, name, arity)
+            if mid in self._ambiguous:
+                return Unresolved(f"ambiguous: multiple declarations of {method_id_str(mid)}")
+            if mid in self.method_table:
+                return mid
+            entry = self.types.get(cur)
+            cur = entry.superclass if entry else None
+        return Unresolved(f"no method {name}/{arity} on {tid} or its supertypes")
+
 
 def build_semantic_model(units: list[CompilationUnit],
                          platform: PlatformModel) -> SemanticModel:
-    """Register all types and methods, validate the hierarchy, and resolve
-    every call site. Raises ModelError for duplicate qualified type names
+    """Register all types and methods and validate the hierarchy; no method
+    body is walked. Raises ModelError for duplicate qualified type names
     and hierarchy cycles, and PlatformModelError for dangling platform
     superclasses."""
-    model = SemanticModel(units, platform)
+    model = SemanticModel()
 
     for ptype in platform.types.values():
         model.types[ptype.name] = TypeEntry(ptype.name, "platform",
@@ -377,8 +455,7 @@ def build_semantic_model(units: list[CompilationUnit],
                     f"type {decl.name} in {unit.file} collides with a "
                     f"platform-model type")
             decl_units[decl.name] = unit
-            model.types[decl.name] = TypeEntry(decl.name, "corpus", None,
-                                               decl=decl)
+            model.types[decl.name] = TypeEntry(decl.name, "corpus", None)
 
     for method in platform.methods.values():
         model._method_owners.add(method.id[0])
@@ -437,13 +514,6 @@ def build_semantic_model(units: list[CompilationUnit],
         if entry.origin == "corpus" and model.kind_of(tid) is not None:
             universe.add(tid)
     model.exception_universe = frozenset(universe)
-
-    for method in model.corpus_methods():
-        if method.decl.body is not None:
-            _Resolver(model, method).run()
-    model._tries.sort(key=lambda pair: (pair[1].position.file,
-                                        pair[1].position.line,
-                                        pair[1].position.column))
     return model
 
 
@@ -479,10 +549,13 @@ def _index_hierarchy(model: SemanticModel) -> None:
 # Call-site resolution
 # ---------------------------------------------------------------------------
 
-class _Scope:
+class Scope:
+    """The variables declared at one point of a method body, with their
+    declared type names (None for an untyped lambda parameter)."""
+
     __slots__ = ("parent", "vars")
 
-    def __init__(self, parent: Optional["_Scope"] = None):
+    def __init__(self, parent: Optional["Scope"] = None):
         self.parent = parent
         self.vars: dict[str, Optional[str]] = {}
 
@@ -490,189 +563,12 @@ class _Scope:
         self.vars[name] = type_name
 
     def lookup(self, name: str) -> tuple[bool, Optional[str]]:
-        scope: Optional[_Scope] = self
+        scope: Optional[Scope] = self
         while scope is not None:
             if name in scope.vars:
                 return True, scope.vars[name]
             scope = scope.parent
         return False, None
-
-
-class _Resolver:
-    """One pass over a method body, tracking declared variable types,
-    recording a resolution for every invocation and instantiation, and
-    indexing every try statement."""
-
-    def __init__(self, model: SemanticModel, method: CorpusMethod):
-        self.model = model
-        self.method = method
-        self.unit = method.unit
-        self.owner = method.owner
-
-    def run(self) -> None:
-        scope = _Scope()
-        for param in self.method.decl.params:
-            scope.declare(param.name, param.type_name)
-        body = self.method.decl.body
-        assert body is not None
-        self._statements(body.statements, _Scope(scope))
-
-    # -- statements -------------------------------------------------------
-
-    def _statements(self, statements: list[Statement], scope: _Scope) -> None:
-        for stmt in statements:
-            self._statement(stmt, scope)
-
-    def _statement(self, stmt: Statement, scope: _Scope) -> None:
-        if isinstance(stmt, Block):
-            self._statements(stmt.statements, _Scope(scope))
-            return
-        if isinstance(stmt, LocalDecl):
-            for var in stmt.declarations:
-                if var.initializer is not None:
-                    self._expr(var.initializer, scope)
-                scope.declare(var.name, var.type_name)
-            return
-        if isinstance(stmt, LoopStmt):
-            inner = _Scope(scope)
-            self._statements(stmt.init, inner)
-            if stmt.condition is not None:
-                self._expr(stmt.condition, inner)
-            for update in stmt.update:
-                self._expr(update, inner)
-            self._statement(stmt.body, _Scope(inner))
-            return
-        if isinstance(stmt, TryStmt):
-            self.model._tries.append((self.method, stmt))
-            self._statements(stmt.body.statements, _Scope(scope))
-            for clause in stmt.catches:
-                for name in clause.caught_types:
-                    if self.model.resolve_exception_name(name, self.unit) is None:
-                        self.model.diagnostics.append(
-                            f"{clause.position}: caught type {name} is not a "
-                            f"known exception; the clause matches nothing")
-                catch_scope = _Scope(scope)
-                catch_scope.declare(clause.variable, clause.caught_types[0])
-                self._statements(clause.body.statements, catch_scope)
-            if stmt.finally_block is not None:
-                self._statements(stmt.finally_block.statements, _Scope(scope))
-            return
-        for expr in statement_expressions(stmt):
-            self._expr(expr, scope)
-        for child in statement_children(stmt):
-            self._statement(child, _Scope(scope))
-
-    # -- expressions ------------------------------------------------------
-
-    def _expr(self, expr: Expr, scope: _Scope) -> None:
-        """Resolve every call in the expression, in pre-order left to right.
-        The walk keeps its own stack, so a long concatenation nests to any
-        depth; only a lambda's expression body, which has its own scope,
-        is walked by a nested call."""
-        stack = [expr]
-        while stack:
-            expr = stack.pop()
-            if isinstance(expr, Invocation):
-                self._record(expr, self._resolve_invocation(expr, scope))
-            elif isinstance(expr, NewInstance):
-                self._record(expr, self._resolve_constructor(expr))
-                if expr.anonymous_body is not None:
-                    self._statements(expr.anonymous_body.statements,
-                                     _Scope(scope))
-            elif isinstance(expr, Lambda):
-                inner = _Scope(scope)
-                for param in expr.parameters:
-                    inner.declare(param, None)
-                if isinstance(expr.body, Block):
-                    self._statements(expr.body.statements, inner)
-                else:
-                    self._expr(expr.body, inner)
-                continue
-            stack.extend(reversed(sub_expressions(expr)))
-
-    def _record(self, call: Union[Invocation, NewInstance],
-                result: Union[MethodId, Unresolved]) -> None:
-        self.model._resolution[id(call)] = result
-        if isinstance(result, Unresolved):
-            self.model.unresolved_count += 1
-            name = call.name if isinstance(call, Invocation) else f"new {call.type_name}"
-            self.model.diagnostics.append(
-                f"{call.position}: unresolved call to {name!r} ({result.reason})")
-
-    def _resolve_constructor(self, call: NewInstance) -> Union[MethodId, Unresolved]:
-        tid = self.model.resolve_type_name(call.type_name, self.unit)
-        if tid is None:
-            return Unresolved(f"unknown type {call.type_name}")
-        return self._lookup(tid, "<init>", call.arity)
-
-    def _resolve_invocation(self, call: Invocation, scope: _Scope) -> Union[MethodId, Unresolved]:
-        receiver = call.receiver
-        if receiver is None:
-            if call.name == "this":
-                return self._lookup(self.owner.name, "<init>", call.arity)
-            if call.name == "super":
-                parent = self.model.types[self.owner.name].superclass
-                if parent is None:
-                    return Unresolved("no superclass constructor")
-                return self._lookup(parent, "<init>", call.arity)
-            return self._lookup(self.owner.name, call.name, call.arity)
-        if isinstance(receiver, Name):
-            ident = receiver.identifier
-            if ident == "this":
-                return self._lookup(self.owner.name, call.name, call.arity)
-            if ident == "super":
-                parent = self.model.types[self.owner.name].superclass
-                if parent is None:
-                    return Unresolved("no superclass")
-                return self._lookup(parent, call.name, call.arity)
-            found, declared = scope.lookup(ident)
-            if found:
-                if declared is None:
-                    return Unresolved(f"untyped variable {ident}")
-                return self._lookup_by_name(declared, call)
-            tid = self.model.resolve_type_name(ident, self.unit)
-            if tid is None:
-                return Unresolved(f"unknown receiver {ident}")
-            return self._lookup(tid, call.name, call.arity)
-        if isinstance(receiver, FieldAccess):
-            dotted = _render_dotted(receiver)
-            if dotted is not None:
-                root = dotted.split(".", 1)[0]
-                found, _ = scope.lookup(root)
-                if not found:
-                    tid = self.model.resolve_type_name(dotted, self.unit)
-                    if tid is not None:
-                        return self._lookup(tid, call.name, call.arity)
-            return Unresolved("receiver is a field access")
-        if isinstance(receiver, NewInstance):
-            return self._lookup_by_name(receiver.type_name, call)
-        if isinstance(receiver, Cast):
-            return self._lookup_by_name(receiver.type_name, call)
-        if isinstance(receiver, Literal):
-            if receiver.text.startswith('"') and self.model._known_type("java.lang.String"):
-                return self._lookup("java.lang.String", call.name, call.arity)
-            return Unresolved("literal receiver")
-        return Unresolved("receiver type is not declared")
-
-    def _lookup_by_name(self, type_name: str, call: Invocation) -> Union[MethodId, Unresolved]:
-        tid = self.model.resolve_type_name(type_name, self.unit)
-        if tid is None:
-            return Unresolved(f"unknown type {type_name}")
-        return self._lookup(tid, call.name, call.arity)
-
-    def _lookup(self, tid: str, name: str, arity: int) -> Union[MethodId, Unresolved]:
-        cur: Optional[str] = tid
-        seen: set[str] = set()
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            mid: MethodId = (cur, name, arity)
-            if mid in self.model._ambiguous:
-                return Unresolved(f"ambiguous: multiple declarations of {method_id_str(mid)}")
-            if mid in self.model.method_table:
-                return mid
-            entry = self.model.types.get(cur)
-            cur = entry.superclass if entry else None
-        return Unresolved(f"no method {name}/{arity} on {tid} or its supertypes")
 
 
 def _render_dotted(expr: Expr) -> Optional[str]:

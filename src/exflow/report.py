@@ -292,7 +292,10 @@ def _json_chunks(report: ProjectReport) -> Iterator[str]:
     """The text of report_to_json in pieces: the head with the project and
     totals, each try row and the punctuation between rows, and the
     diversity tail. No piece holds more than one row."""
-    string = _Memo(encode_basestring_ascii)
+    # the memo keeps the strings that repeat (types, files, strategies and
+    # labels); try ids, catch ids and origin labels are each written once
+    encode = encode_basestring_ascii
+    string = _Memo(encode)
     labels = _Memo(lambda values: _items(
         ["            " + string[v] for v in values], "          "))
     totals = report.totals
@@ -303,17 +306,17 @@ def _json_chunks(report: ProjectReport) -> Iterator[str]:
     for row in report.try_blocks:
         yield separator
         yield _ROW % (
-            string[row.try_id], string[row.file], row.line, row.total,
+            encode(row.try_id), string[row.file], row.line, row.total,
             row.propagated, row.propagated_recoverable,
             _items([_EXCEPTION % (string[e.type], e.distinct_methods,
                                   labels[tuple(e.evidence)],
                                   string[e.strategy])
                     for e in row.exceptions], "      "),
-            _items([_FACT % (string[f.type], string[f.origin],
+            _items([_FACT % (string[f.type], encode(f.origin),
                              labels[tuple(f.evidence)],
                              "true" if f.handled else "false")
                     for f in row.facts], "      "),
-            _items([_HANDLER % (string[h.catch_id], labels[tuple(h.actions)])
+            _items([_HANDLER % (encode(h.catch_id), labels[tuple(h.actions)])
                     for h in row.handlers], "      "))
         separator = ",\n"
     yield "\n  ]" if report.try_blocks else "[]"

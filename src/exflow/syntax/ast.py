@@ -56,6 +56,8 @@ class Invocation:
     name: str
     arguments: list["Expr"]
     position: SourcePosition
+    # MethodId or Unresolved, set by SemanticModel.resolve_invocation
+    callee: object = field(default=None, compare=False, repr=False)
 
     @property
     def arity(self) -> int:
@@ -74,6 +76,8 @@ class NewInstance:
     arguments: list["Expr"]
     position: SourcePosition
     anonymous_body: Optional["Block"] = None
+    # MethodId or Unresolved, set by SemanticModel.resolve_invocation
+    callee: object = field(default=None, compare=False, repr=False)
 
     @property
     def arity(self) -> int:

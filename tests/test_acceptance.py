@@ -20,7 +20,9 @@ from exflow.classify import (
 )
 from exflow.cli import main
 from exflow.driver import analyze_project, try_bundles
-from exflow.flow import analyze_try_block, compute_method_exception_sets
+from exflow.flow import (
+    analyze_try_block, compute_method_exception_sets, try_blocks,
+)
 from exflow.model import build_semantic_model, parse_platform_document
 from exflow.report import aggregate_project
 from exflow.stats import wilcoxon_rank_sum
@@ -119,7 +121,7 @@ def test_criterion_02_acyclic_oracle_equivalence():
         corpora += 1
 
         gen_tries = iter_tries(corpus)
-        model_tries = model.try_blocks()
+        model_tries = try_blocks(model)
         assert len(gen_tries) == len(model_tries), f"seed {seed}"
         tries_checked += len(model_tries)
         for mode_sets in (sets, direct_sets):
@@ -283,7 +285,7 @@ def test_criterion_06_strategy_hierarchy():
         ("h.C", 0, "h.A", Strategy.SUBSUMPTION),
         ("h.B", 1, "h.A", Strategy.SUBSUMPTION),
     ]
-    entries = model.try_blocks()
+    entries = try_blocks(model)
     assert len(entries) == 3
     for (method, stmt), (fact_type, clause_index, matched_type, strategy) \
             in zip(entries, expected):

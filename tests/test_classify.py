@@ -9,7 +9,9 @@ from exflow.classify import (
     classify_strategy,
 )
 from exflow.config import config_from_dict
-from exflow.flow import EvidenceKind, LexicalThrowOrigin, PossibleException
+from exflow.flow import (
+    EvidenceKind, LexicalThrowOrigin, PossibleException, try_blocks,
+)
 from exflow.model import build_semantic_model, parse_platform_document
 from exflow.syntax import parse_compilation_unit
 from exflow.syntax.ast import SourcePosition
@@ -214,9 +216,11 @@ def test_abort_via_resolved_signature():
     unit, clause = clause_of("die();", extra="void die() {}")
     model = build_semantic_model([unit], tiny_platform())
     config = config_from_dict({"abort_signatures": ["app.A#die(0)"]})
-    assert classify_actions(clause, config, model) == {Action.ABORT}
-    # without the model only receiver-based matching applies
+    # before the body is lowered no callee is stored, and only
+    # receiver-based matching applies
     assert classify_actions(clause, config) == {Action.METHOD}
+    try_blocks(model)
+    assert classify_actions(clause, config) == {Action.ABORT}
 
 
 def test_log_names_follow_config():

@@ -20,6 +20,7 @@ from exflow.flow import (
     analyze_try_block,
     attribute_sources,
     compute_method_exception_sets,
+    try_blocks,
 )
 from exflow.model import build_semantic_model, parse_platform_document
 from exflow.syntax import parse_compilation_unit
@@ -70,7 +71,7 @@ def facts_of(sets, name):
 
 
 def first_try(model):
-    return model.try_blocks()[0]
+    return try_blocks(model)[0]
 
 
 # -- method-level sets -------------------------------------------------------
@@ -236,7 +237,7 @@ def test_unknown_names_are_diagnosed():
 
 def fig1_try(fig1_result):
     model = fig1_result.model
-    (method, stmt), = [(m, t) for m, t in model.try_blocks()]
+    (method, stmt), = [(m, t) for m, t in try_blocks(model)]
     return model, method, stmt
 
 
@@ -370,7 +371,7 @@ def test_nested_try_filters_inner_handled_types():
         "    } catch (RuntimeException e) {}\n"
         "  }\n"
         "}\n")
-    sets_by_line = {t.position.line: (m, t) for m, t in model.try_blocks()}
+    sets_by_line = {t.position.line: (m, t) for m, t in try_blocks(model)}
     outer_line = min(sets_by_line)
     method, outer = sets_by_line[outer_line]
     analysis = analyze_try_block(outer, sets, model, method)
@@ -390,7 +391,7 @@ def test_nested_catch_and_finally_feed_outer_region():
         "  void g() {}\n"
         "  void h() throws IOException {}\n"
         "}\n")
-    entries = sorted(model.try_blocks(), key=lambda p: p[1].position.line)
+    entries = sorted(try_blocks(model), key=lambda p: p[1].position.line)
     method, outer = entries[0]
     analysis = analyze_try_block(outer, sets, model, method)
     origins = {type(f.origin).__name__ for f in analysis.possible}
@@ -491,7 +492,7 @@ def test_call_ring_takes_linear_work(monkeypatch):
         assert set(facts) == {IOE}
         assert facts[IOE].sources == {mid(last)}
         assert facts[IOE].evidence == {TS}
-    assert len(model.try_blocks()) == n
+    assert len(try_blocks(model)) == n
 
 
 def test_default_fixed_point_work_is_linear_when_every_method_throws(
@@ -528,7 +529,7 @@ def test_default_sets_share_one_fact_per_evidence_set(fig1_result, tree):
     assert len(distinct) <= 16
     assert len(distinct) == len({fact.evidence for fact in facts})
     analyses = [analyze_try_block(stmt, sets, model, method)
-                for method, stmt in model.try_blocks()]
+                for method, stmt in try_blocks(model)]
     assert any(analysis.possible for analysis in analyses)
     assert all(fact.source_methods == frozenset()
                for analysis in analyses for fact in analysis.possible)
@@ -550,7 +551,7 @@ def test_deep_try_nest_partition():
     lines += ["  }", "}", ""]
     model, sets = build("\n".join(lines))
     throw_line = first_line + depth
-    entries = sorted(model.try_blocks(), key=lambda p: p[1].position.line)
+    entries = sorted(try_blocks(model), key=lambda p: p[1].position.line)
     assert len(entries) == depth
     for k, (method, stmt) in enumerate(entries):
         assert stmt.position.line == first_line + k
@@ -670,7 +671,7 @@ def walked_partition(model, sets, method, stmt):
 
 
 def assert_partitions_match_walk(model, sets):
-    for method, stmt in model.try_blocks():
+    for method, stmt in try_blocks(model):
         analysis = analyze_try_block(stmt, sets, model, method)
         possible, handled, propagated = walked_partition(
             model, sets, method, stmt)
@@ -708,9 +709,9 @@ def test_partition_matches_per_try_walk_on_deep_nest():
         lines.append(f"    }} catch ({caught[k % len(caught)]} e) {{ g(); }}")
     lines += ["  }", "}", ""]
     model, sets = build("\n".join(lines))
-    assert len(model.try_blocks()) == depth
+    assert len(try_blocks(model)) == depth
     assert_partitions_match_walk(model, sets)
     analyses = [analyze_try_block(stmt, sets, model, method)
-                for method, stmt in model.try_blocks()]
+                for method, stmt in try_blocks(model)]
     assert sum(len(a.handled) for a in analyses) > depth
     assert sum(len(a.propagated) for a in analyses) > depth

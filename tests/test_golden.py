@@ -1,5 +1,6 @@
-"""Report bytes pinned: every output of `analyze` and `lint` on two trees
-compared byte for byte with the files under tests/data/golden.
+"""Report bytes pinned: every output of `analyze` and `lint` on two trees,
+and the diagnostics that `analyze` writes to stderr, compared byte for
+byte with the files under tests/data/golden.
 
 The trees are fig1 and the project of a seeded cyclic `_corpus.py` corpus
 (seed 3: recursive calls, nested tries, external methods). Each command
@@ -45,13 +46,15 @@ def outputs(tree: str, root: Path, fig1_dir: Path, jre_mini_path: Path,
     """Every pinned output of one tree, by golden file name."""
     platform = _make_tree(tree, root, fig1_dir, jre_mini_path).name
     common = ["--project", tree, "--platform", platform]
+    capsys.readouterr()
     assert main(["analyze", *common, "--out", "analyze.json"]) == 0
+    found = {"stderr.txt": capsys.readouterr().err.encode()}
     assert main(["analyze", *common, "--transitive-origins",
                  "--out", "transitive.json"]) == 0
     assert main(["analyze", *common, "--format", "csv", "--out", "csv"]) == 0
     capsys.readouterr()
     assert main(["lint", *common]) == 0
-    found = {"lint.txt": capsys.readouterr().out.encode()}
+    found["lint.txt"] = capsys.readouterr().out.encode()
     for name in ("analyze.json", "transitive.json"):
         found[name] = (root / name).read_bytes()
     assert sorted(p.name for p in (root / "csv").iterdir()) == list(CSV_TABLES)

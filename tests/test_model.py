@@ -1,11 +1,14 @@
 """Platform-model loading and semantic-model construction."""
 
 import json
+import shutil
+from collections import Counter
 
 import pytest
 
 from exflow.model import (
     ModelError,
+    SemanticModel,
     PlatformModelError,
     Recoverability,
     Unresolved,
@@ -17,9 +20,11 @@ from exflow.model import (
     validate_platform_closure,
 )
 from _corpus import (
-    generate_corpus, iter_statements, render_app, try_statements_in,
+    generate_corpus, iter_statements, platform_document, render_app,
+    render_exceptions, try_statements_in,
 )
 from exflow.driver import analyze_project
+from exflow.flow import method_summary, try_blocks
 from exflow.syntax import parse_compilation_unit
 from exflow.syntax.ast import Invocation, NewInstance
 from exflow.syntax.walk import iter_expressions, statement_expressions
@@ -51,6 +56,12 @@ def model_from(sources, platform_model):
     return build_semantic_model(units, platform_model)
 
 
+def model_and_units(sources, platform_model):
+    units = [parse_compilation_unit(src, f"U{i}.java")
+             for i, src in enumerate(sources)]
+    return build_semantic_model(units, platform_model), units
+
+
 def calls_in(method):
     out = []
     for stmt in iter_statements(method.decl.body.statements):
@@ -59,6 +70,14 @@ def calls_in(method):
                 if isinstance(node, (Invocation, NewInstance)):
                     out.append(node)
     return out
+
+
+def lowered_calls(model, mid):
+    """The method's calls once its body is lowered, which stores the
+    resolved callee on each call."""
+    method = model.method_table[mid]
+    method_summary(model, method)
+    return calls_in(method)
 
 
 # -- signatures and document schema -----------------------------------------
@@ -343,7 +362,7 @@ def test_recoverability_defaults_and_override():
 
 
 def test_resolve_type_name_routes():
-    model = model_from([
+    model, (unit,) = model_and_units([
         "package app;\n"
         "import java.io.IOException;\n"
         "import java.nio.file.*;\n"
@@ -351,7 +370,6 @@ def test_resolve_type_name_routes():
     ], platform(extra_types=[
         {"name": "java.nio.file.InvalidPathException",
          "superclass": "java.lang.RuntimeException", "kind": "unchecked"}]))
-    unit = model.units[0]
     assert model.resolve_type_name("java.io.IOException", unit) == "java.io.IOException"
     assert model.resolve_type_name("IOException", unit) == "java.io.IOException"
     assert model.resolve_type_name("InvalidPathException", unit) == \
@@ -368,8 +386,8 @@ def test_resolve_type_name_routes():
 
 
 def test_resolve_exception_name_requires_exception():
-    model = model_from(["package app; class Plain {}"], platform())
-    unit = model.units[0]
+    model, (unit,) = model_and_units(["package app; class Plain {}"],
+                                     platform())
     assert model.resolve_exception_name("Plain", unit) is None
     assert model.resolve_exception_name("IOException", unit) is None  # not imported
     assert model.resolve_exception_name("java.io.IOException", unit) == \
@@ -379,23 +397,35 @@ def test_resolve_exception_name_requires_exception():
 def test_unqualified_and_this_calls_resolve_to_own_type():
     model = model_from([
         "package app;\n"
-        "class A { void f() { g(); this.g(); } void g() {} }\n"
+        "class A { void f() { g(); this.g(); } void g() {}\n"
+        "  void k() { try { new Object() { void h() { g(); } }; }\n"
+        "             catch (Exception e) {} } }\n"
     ], platform())
-    method = model.method_table[("app.A", "f", 0)]
-    for call in calls_in(method):
-        assert model.resolve_invocation(call) == ("app.A", "g", 0)
+    for call in lowered_calls(model, ("app.A", "f", 0)):
+        assert call.callee == ("app.A", "g", 0)
+    # a call in an anonymous-class body counts in the region around it
+    method = model.method_table[("app.A", "k", 0)]
+    (guarded,) = method_summary(model, method).body.tries
+    (call,) = [c for c in calls_in(method) if isinstance(c, Invocation)]
+    assert call.callee == ("app.A", "g", 0)
+    assert [(o.position, o.callee) for o in guarded.body.calls] == [
+        (call.position, ("app.A", "g", 0))]
 
 
 def test_local_variable_receiver_uses_declared_type():
     model = model_from([
         "package app;\n"
-        "class B { void g() {} }\n"
-        "class A { void f() { B b = make(); b.g(); } B make() { return null; } }\n"
+        "class B { void g() {} boolean ok() { return true; } void next() {} }\n"
+        "class A { void f() { B b = make(); b.g(); } B make() { return null; }\n"
+        "  void loop() { for (B it = make(); it.ok(); it.next()) {} } }\n"
     ], platform())
-    method = model.method_table[("app.A", "f", 0)]
-    targets = [model.resolve_invocation(c) for c in calls_in(method)]
+    targets = [c.callee for c in lowered_calls(model, ("app.A", "f", 0))]
     assert ("app.B", "g", 0) in targets
     assert ("app.A", "make", 0) in targets
+    # a for-init declaration is in scope for the condition and the update
+    targets = {c.callee for c in lowered_calls(model, ("app.A", "loop", 0))}
+    assert targets == {("app.A", "make", 0), ("app.B", "ok", 0),
+                       ("app.B", "next", 0)}
 
 
 def test_parameter_receiver_and_inherited_method():
@@ -404,10 +434,15 @@ def test_parameter_receiver_and_inherited_method():
         "class Base { void g() {} }\n"
         "class Sub extends Base {}\n"
         "class A { void f(Sub s) { s.g(); } }\n"
+        "class E1 extends Exception { void m() {} }\n"
+        "class E2 extends Exception { void m() {} }\n"
+        "class C { void f() { try { } catch (E1 | E2 e) { e.m(); } } }\n"
     ], platform())
-    method = model.method_table[("app.A", "f", 1)]
-    (call,) = calls_in(method)
-    assert model.resolve_invocation(call) == ("app.Base", "g", 0)
+    (call,) = lowered_calls(model, ("app.A", "f", 1))
+    assert call.callee == ("app.Base", "g", 0)
+    # a multi-catch variable takes the first caught type
+    (call,) = lowered_calls(model, ("app.C", "f", 0))
+    assert call.callee == ("app.E1", "m", 0)
 
 
 def test_static_style_receiver_through_imports(jre_mini):
@@ -416,8 +451,8 @@ def test_static_style_receiver_through_imports(jre_mini):
         "import java.nio.file.Paths;\n"
         "class A { void f() { Paths.getPath(\"x\"); } }\n"
     ], jre_mini)
-    (call,) = calls_in(model.method_table[("app.A", "f", 0)])
-    assert model.resolve_invocation(call) == ("java.nio.file.Paths", "getPath", 1)
+    (call,) = lowered_calls(model, ("app.A", "f", 0))
+    assert call.callee == ("java.nio.file.Paths", "getPath", 1)
 
 
 def test_fully_qualified_receiver_chain(jre_mini):
@@ -425,8 +460,8 @@ def test_fully_qualified_receiver_chain(jre_mini):
         "package app;\n"
         "class A { void f() { java.nio.file.Paths.getPath(\"x\"); } }\n"
     ], jre_mini)
-    (call,) = calls_in(model.method_table[("app.A", "f", 0)])
-    assert model.resolve_invocation(call) == ("java.nio.file.Paths", "getPath", 1)
+    (call,) = lowered_calls(model, ("app.A", "f", 0))
+    assert call.callee == ("java.nio.file.Paths", "getPath", 1)
 
 
 def test_constructor_resolution():
@@ -436,8 +471,8 @@ def test_constructor_resolution():
         "import java.io.IOException;\n"
         "class A { void f() { new IOException(); } }\n"
     ], platform(methods=[ctor_doc]))
-    (call,) = calls_in(model.method_table[("app.A", "f", 0)])
-    assert model.resolve_invocation(call) == ("java.io.IOException", "<init>", 0)
+    (call,) = lowered_calls(model, ("app.A", "f", 0))
+    assert call.callee == ("java.io.IOException", "<init>", 0)
     assert model.unresolved_count == 0
 
 
@@ -447,8 +482,8 @@ def test_missing_constructor_is_unresolved_and_counted():
         "import java.io.IOException;\n"
         "class A { void f() { new IOException(); } }\n"
     ], platform())
-    (call,) = calls_in(model.method_table[("app.A", "f", 0)])
-    assert isinstance(model.resolve_invocation(call), Unresolved)
+    (call,) = lowered_calls(model, ("app.A", "f", 0))
+    assert isinstance(call.callee, Unresolved)
     assert model.unresolved_count == 1
     assert any("unresolved call" in d for d in model.diagnostics)
 
@@ -456,14 +491,26 @@ def test_missing_constructor_is_unresolved_and_counted():
 def test_untyped_and_unknown_receivers_unresolved():
     model = model_from([
         "package app;\n"
-        "class A { void f() { var v = g(); v.h(); ghost.h(); } int g() { return 0; } }\n"
+        "class B { void g() {} }\n"
+        "class A { void f() { var v = g(); v.h(); ghost.h(); } int g() { return 0; }\n"
+        "  void k() { B b = make(() -> { b.g(); }); }\n"
+        "  void m(B b) { run(b -> b.g()); }\n"
+        "  B make(Runnable r) { return null; } void run(Object o) {} }\n"
     ], platform())
-    method = model.method_table[("app.A", "f", 0)]
-    results = {c.name if isinstance(c, Invocation) else None:
-               model.resolve_invocation(c) for c in calls_in(method)}
+    results = {c.name if isinstance(c, Invocation) else None: c.callee
+               for c in lowered_calls(model, ("app.A", "f", 0))}
     assert results["g"] == ("app.A", "g", 0)
     assert isinstance(results["h"], Unresolved)
     assert model.unresolved_count == 2
+    # an initializer resolves before its variable is declared, lambda
+    # bodies in it too
+    make, inner = lowered_calls(model, ("app.A", "k", 0))
+    assert make.callee == ("app.A", "make", 1)
+    assert inner.callee == Unresolved("unknown receiver b")
+    # a lambda parameter shadows a typed variable, untyped
+    run, inner = lowered_calls(model, ("app.A", "m", 1))
+    assert run.callee == ("app.A", "run", 1)
+    assert inner.callee == Unresolved("untyped variable b")
 
 
 def test_no_matching_method_unresolved():
@@ -472,10 +519,9 @@ def test_no_matching_method_unresolved():
         "class B {}\n"
         "class A { void f(B b) { b.g(); } }\n"
     ], platform())
-    (call,) = calls_in(model.method_table[("app.A", "f", 1)])
-    result = model.resolve_invocation(call)
-    assert isinstance(result, Unresolved)
-    assert "no method g/0" in result.reason
+    (call,) = lowered_calls(model, ("app.A", "f", 1))
+    assert isinstance(call.callee, Unresolved)
+    assert "no method g/0" in call.callee.reason
 
 
 def test_duplicate_method_is_ambiguous():
@@ -483,10 +529,9 @@ def test_duplicate_method_is_ambiguous():
         "package app;\n"
         "class A { void g() {} void g() {} void f() { g(); } }\n"
     ], platform())
-    (call,) = calls_in(model.method_table[("app.A", "f", 0)])
-    result = model.resolve_invocation(call)
-    assert isinstance(result, Unresolved)
-    assert "ambiguous" in result.reason
+    (call,) = lowered_calls(model, ("app.A", "f", 0))
+    assert isinstance(call.callee, Unresolved)
+    assert "ambiguous" in call.callee.reason
 
 
 def test_platform_method_shadowed_by_corpus():
@@ -495,8 +540,8 @@ def test_platform_method_shadowed_by_corpus():
         "package app;\n"
         "class A { void g() {} void f() { g(); } }\n"
     ], platform(methods=[doc]))
-    (call,) = calls_in(model.method_table[("app.A", "f", 0)])
-    assert model.resolve_invocation(call) == ("app.A", "g", 0)
+    (call,) = lowered_calls(model, ("app.A", "f", 0))
+    assert call.callee == ("app.A", "g", 0)
     assert any("shadowed" in d for d in model.diagnostics)
 
 
@@ -508,11 +553,51 @@ def test_platform_method_with_unknown_throws_filtered():
     assert any("unknown exception" in d for d in model.diagnostics)
 
 
+@pytest.mark.parametrize("tree", ["fig1", "corpus"])
+def test_each_call_site_resolves_once(tree, tmp_path, monkeypatch, fig1_dir,
+                                      jre_mini):
+    if tree == "fig1":
+        shutil.copytree(fig1_dir, tmp_path / "fig1")
+        platform_model = jre_mini
+    else:
+        corpus = generate_corpus(5, cyclic=True, max_methods=30)
+        (tmp_path / "gen").mkdir()
+        (tmp_path / "gen" / "App.java").write_text(render_app(corpus))
+        (tmp_path / "gen" / "Exceptions.java").write_text(
+            render_exceptions(corpus))
+        platform_model = parse_platform_document(platform_document(corpus),
+                                                 "gen")
+    resolved = Counter()
+    resolve = SemanticModel.resolve_invocation
+
+    def counting(model, call, *args):
+        resolved[id(call)] += 1
+        return resolve(model, call, *args)
+
+    monkeypatch.setattr(SemanticModel, "resolve_invocation", counting)
+    result = analyze_project(tmp_path, platform_model)
+    sites = [call for method in result.model.corpus_methods()
+             for call in calls_in(method)]
+    assert sites
+    assert resolved == Counter(id(call) for call in sites)
+
+    # building the model alone resolves nothing
+    units = [parse_compilation_unit(path.read_text(), str(path))
+             for path in sorted(tmp_path.rglob("*.java"))]
+    resolved.clear()
+    model = build_semantic_model(units, platform_model)
+    assert not resolved
+    assert not any("unresolved call" in d for d in model.diagnostics)
+    assert all(call.callee is None for method in model.corpus_methods()
+               for call in calls_in(method))
+
+
 def test_unknown_caught_type_diagnosed():
     model = model_from([
         "package app;\n"
         "class A { void f() { try { g(); } catch (Mystery e) {} } void g() {} }\n"
     ], platform())
+    lowered_calls(model, ("app.A", "f", 0))
     assert any("matches nothing" in d for d in model.diagnostics)
 
 
@@ -524,7 +609,7 @@ def test_try_blocks_listed_in_position_order():
         "  void g() { try { f(); } catch (Exception e) {} }\n"
         "}\n"
     ], platform())
-    entries = model.try_blocks()
+    entries = try_blocks(model)
     assert [m.id[1] for m, _ in entries] == ["f", "g"]
     lines = [t.position.line for _, t in entries]
     assert lines == sorted(lines)
@@ -562,12 +647,12 @@ def walked_tries(model):
 
 
 def indexed_tries(model):
-    return [(method.id, id(t)) for method, t in model.try_blocks()]
+    return [(method.id, id(t)) for method, t in try_blocks(model)]
 
 
 def test_try_index_matches_a_walk_of_every_body():
     model = model_from([NESTED_TRIES], platform())
-    assert len(model.try_blocks()) == 6
+    assert len(try_blocks(model)) == 6
     assert indexed_tries(model) == walked_tries(model)
     for seed in range(60):
         for cyclic in (False, True):

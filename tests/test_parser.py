@@ -568,13 +568,13 @@ def test_parse_time_grows_linearly_with_file_size():
 
 def shape(node):
     """A node as nested tuples (class name, then field values), leaving out
-    positions, spans and comments."""
+    positions, spans, comments and the fields that equality ignores."""
     if isinstance(node, list):
         return [shape(item) for item in node]
     if dataclasses.is_dataclass(node):
         return (type(node).__name__,) + tuple(
             shape(getattr(node, f.name)) for f in dataclasses.fields(node)
-            if f.name not in ("position", "span", "comments"))
+            if f.compare and f.name not in ("position", "span", "comments"))
     return node
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from exflow.classify import Action, Strategy, classify_actions
 from exflow.driver import try_bundles
-from exflow.flow import analyze_try_block
+from exflow.flow import analyze_try_block, try_blocks
 from exflow.report import aggregate_project, report_to_json
 from exflow.stats import wilcoxon_rank_sum
 from exflow.syntax import parse_compilation_unit
@@ -102,7 +102,7 @@ def test_try_partition_invariants(seed):
     corpus = generate_corpus(seed, max_methods=12)
     assume(iter_tries(corpus))
     model, sets = build_corpus_model(corpus)
-    for method, stmt in model.try_blocks():
+    for method, stmt in try_blocks(model):
         analysis = analyze_try_block(stmt, sets, model, method)
         handled = set(analysis.handled)
         assert handled | set(analysis.propagated) == set(analysis.possible)
@@ -128,12 +128,12 @@ def test_catch_all_clause_stops_all_propagation(seed):
     tries = iter_tries(corpus)
     assume(tries)
     model, sets = build_corpus_model(corpus)
-    (method, stmt) = model.try_blocks()[0]
+    (method, stmt) = try_blocks(model)[0]
     before = analyze_try_block(stmt, sets, model, method)
 
     tries[0][1].catches.append((["Throwable"], []))
     model2, sets2 = build_corpus_model(corpus)
-    (method2, stmt2) = model2.try_blocks()[0]
+    (method2, stmt2) = try_blocks(model2)[0]
     after = analyze_try_block(stmt2, sets2, model2, method2)
 
     assert after.possible == before.possible
