@@ -3,25 +3,21 @@
 A handled exception whose type exactly equals the matching caught type is
 handled by the Specific strategy; a strict supertype match is Subsumption.
 Actions describe what a catch body does with what it caught, as the union
-of twelve detectable behaviors.
+of twelve detectable behaviors. flow's lowering walks each catch body once
+and keeps what it does in a HandlerRecord; classify_actions maps the record
+and the configuration to actions.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .config import Config
-from .model import SemanticModel, method_id_str
+from .model import MethodId, SemanticModel, dotted_name, method_id_str
 from .syntax.ast import (
-    Block, CatchClause, ContinueStmt, ExprStmt, FieldAccess, Invocation,
-    Name, NewInstance, ReturnStmt, Statement, ThrowStmt, TryStmt,
-    VariableRef,
-)
-from .syntax.walk import (
-    iter_expressions, nested_blocks, statement_children,
-    statement_expressions,
+    Block, CatchClause, ExprStmt, Invocation, Name, NewInstance, VariableRef,
 )
 
 
@@ -51,6 +47,23 @@ class HandlerClassification:
     actions: frozenset[Action]
 
 
+# (name, arity, dotted receiver or None, resolved callee or None)
+HandlerCall = tuple[str, int, Optional[str], Optional[MethodId]]
+
+
+@dataclass(frozen=True, slots=True)
+class HandlerRecord:
+    """What one catch body does, as the action detectors read it. actions
+    holds those that need no configuration: Empty and Default from the
+    shape of the body; Todo, Continue, Return, NestedTry and the throw
+    actions from anything it holds, nested blocks and lambda and
+    anonymous-class bodies included. calls holds every invocation in it.
+    Nothing under a throw counts."""
+
+    actions: frozenset[Action]
+    calls: tuple[HandlerCall, ...]
+
+
 def classify_strategy(fact_type: str, matched_type: str,
                       model: SemanticModel) -> Strategy:
     """Strategy for a fact handled by a clause via matched_type. Raises
@@ -64,98 +77,71 @@ def classify_strategy(fact_type: str, matched_type: str,
     return Strategy.SUBSUMPTION
 
 
-def classify_actions(clause: CatchClause,
+def classify_actions(handler: Union[HandlerRecord, CatchClause],
                      config: Optional[Config] = None) -> frozenset[Action]:
-    """Detect every action the handler performs; see the module docstring
-    for the taxonomy. Detection is syntactic except Abort, which prefers
-    the callee that the lowering of the method stored on the call."""
+    """Every action the handler performs, read off its record; see the
+    module docstring for the taxonomy. A bare CatchClause is first walked
+    for its record (flow.handler_record). Detection is syntactic except
+    Abort, which prefers the callee that the lowering of the method stored
+    on the call."""
+    if isinstance(handler, CatchClause):
+        from .flow import handler_record  # flow imports this module
+        handler = handler_record(handler)
     cfg = config if config is not None else Config()
-    actions: set[Action] = set()
-    statements = clause.body.statements
-
-    if not statements:
-        actions.add(Action.EMPTY)
-
-    default_call = _default_invocation(statements, clause.variable)
-    if default_call is not None:
-        actions.add(Action.DEFAULT)
-
+    actions = set(handler.actions)
     abort_sigs = [_split_signature(s) for s in sorted(cfg.abort_signatures)]
-    walked, calls = _walk_handler(clause.body)
-    for stmt in walked:
-        if isinstance(stmt, Block):
-            if any(_is_todo(comment.text) for comment in stmt.comments):
-                actions.add(Action.TODO)
-        elif isinstance(stmt, ContinueStmt):
-            actions.add(Action.CONTINUE)
-        elif isinstance(stmt, ReturnStmt):
-            actions.add(Action.RETURN)
-        elif isinstance(stmt, TryStmt):
-            actions.add(Action.NESTED_TRY)
-        elif isinstance(stmt, ThrowStmt):
-            actions.update(_throw_actions(stmt, clause.variable))
-    for call in calls:
+    for call in handler.calls:
         if _is_abort(call, abort_sigs, cfg):
             actions.add(Action.ABORT)
         elif _is_log(call, cfg):
             actions.add(Action.LOG)
-        elif call is not default_call:
+        elif Action.DEFAULT not in handler.actions:
+            # the one call of a Default handler is its printStackTrace
             actions.add(Action.METHOD)
     return frozenset(actions)
 
 
-def _throw_actions(stmt: ThrowStmt, caught_var: str) -> set[Action]:
-    thrown = stmt.thrown
-    if isinstance(thrown, VariableRef):
-        if thrown.identifier == caught_var:
-            return {Action.THROW_CURRENT}
-        return set()
-    if isinstance(thrown, NewInstance):
-        for arg in thrown.arguments:
-            for node in iter_expressions(arg):
-                if isinstance(node, Name) and node.identifier == caught_var:
-                    return {Action.THROW_WRAP}
-        return {Action.THROW_NEW}
+def opening_actions(clause: CatchClause) -> set[Action]:
+    """What the shape of the clause's body shows before it is walked: Empty,
+    or Default for a lone printStackTrace() on the caught variable."""
+    statements = clause.body.statements
+    if not statements:
+        return {Action.EMPTY}
+    if len(statements) == 1 and isinstance(statements[0], ExprStmt):
+        expr = statements[0].expression
+        if (isinstance(expr, Invocation) and expr.name == "printStackTrace"
+                and expr.arity == 0 and isinstance(expr.receiver, Name)
+                and expr.receiver.identifier == clause.variable):
+            return {Action.DEFAULT}
     return set()
 
 
-def _default_invocation(statements: list[Statement],
-                        caught_var: str) -> Optional[Invocation]:
-    if len(statements) != 1 or not isinstance(statements[0], ExprStmt):
-        return None
-    expr = statements[0].expression
-    if (isinstance(expr, Invocation) and expr.name == "printStackTrace"
-            and expr.arity == 0 and isinstance(expr.receiver, Name)
-            and expr.receiver.identifier == caught_var):
-        return expr
+def throw_action(thrown: object, caught_var: str,
+                 named: set[str]) -> Optional[Action]:
+    """The action of a throw in a handler for caught_var: named holds the
+    names that the arguments of a thrown `new T(...)` mention."""
+    if isinstance(thrown, VariableRef):
+        if thrown.identifier == caught_var:
+            return Action.THROW_CURRENT
+    elif isinstance(thrown, NewInstance):
+        return Action.THROW_WRAP if caught_var in named else Action.THROW_NEW
     return None
 
 
-def _walk_handler(body: Block) -> tuple[list[Statement], list[Invocation]]:
-    """Every statement in the handler body (the body itself and nested
-    regions included) and every invocation, in one walk. Nothing inside a
-    throw expression counts: neither its invocations nor its lambda and
-    anonymous-class bodies."""
-    found: list[Statement] = []
-    calls: list[Invocation] = []
-    stack: list[Statement] = [body]
-    while stack:
-        stmt = stack.pop()
-        found.append(stmt)
-        stack.extend(statement_children(stmt))
-        if isinstance(stmt, ThrowStmt):
-            continue
-        for expr in statement_expressions(stmt):
-            for node in iter_expressions(expr):
-                if isinstance(node, Invocation):
-                    calls.append(node)
-            stack.extend(nested_blocks(expr))
-    return found, calls
+def handler_call(call: Invocation) -> HandlerCall:
+    """A call in a handler as its record keeps it."""
+    callee = call.callee
+    return (call.name, call.arity, dotted_name(call.receiver),
+            callee if isinstance(callee, tuple) else None)
 
 
-def _is_todo(text: str) -> bool:
-    lowered = text.lower()
-    return "todo" in lowered or "fixme" in lowered
+def mentions_todo(block: Block) -> bool:
+    """Whether a comment attached to the block says TODO or FIXME."""
+    for comment in block.comments:
+        lowered = comment.text.lower()
+        if "todo" in lowered or "fixme" in lowered:
+            return True
+    return False
 
 
 def _split_signature(signature: str) -> tuple[str, str, str, int]:
@@ -164,43 +150,24 @@ def _split_signature(signature: str) -> tuple[str, str, str, int]:
     return owner, owner.rsplit(".", 1)[-1], name, int(arity.rstrip(")"))
 
 
-def _is_abort(call: Invocation, abort_sigs: list[tuple[str, str, str, int]],
+def _is_abort(call: HandlerCall, abort_sigs: list[tuple[str, str, str, int]],
               cfg: Config) -> bool:
-    resolved = call.callee
-    if isinstance(resolved, tuple) and method_id_str(resolved) in cfg.abort_signatures:
+    name, arity, dotted, callee = call
+    if callee is not None and method_id_str(callee) in cfg.abort_signatures:
         return True
-    dotted = _receiver_dotted(call)
     if dotted is None:
         return False
-    for owner, simple_owner, name, arity in abort_sigs:
-        if (call.name == name and call.arity == arity
+    for owner, simple_owner, abort_name, abort_arity in abort_sigs:
+        if (name == abort_name and arity == abort_arity
                 and dotted in (owner, simple_owner)):
             return True
     return False
 
 
-def _is_log(call: Invocation, cfg: Config) -> bool:
-    if call.name in cfg.log_method_names:
+def _is_log(call: HandlerCall, cfg: Config) -> bool:
+    name, _arity, dotted, _callee = call
+    if name in cfg.log_method_names:
         return True
-    dotted = _receiver_dotted(call)
     return (dotted in ("System.out", "System.err", "java.lang.System.out",
                        "java.lang.System.err")
-            and call.name.startswith("print"))
-
-
-def _receiver_dotted(call: Invocation) -> Optional[str]:
-    receiver = call.receiver
-    if receiver is None:
-        return None
-    if isinstance(receiver, Name):
-        return receiver.identifier
-    if isinstance(receiver, FieldAccess):
-        parts: list[str] = []
-        node = receiver
-        while isinstance(node, FieldAccess):
-            parts.append(node.name)
-            node = node.target
-        if isinstance(node, Name):
-            parts.append(node.identifier)
-            return ".".join(reversed(parts))
-    return None
+            and name.startswith("print"))

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Union
 
 from .model import PlatformModelError, parse_signature
+from .syntax.errors import not_utf8
 
 DEFAULT_LOG_METHOD_NAMES = frozenset({
     "log", "trace", "debug", "info", "warn", "warning", "error", "fatal",
@@ -55,6 +56,8 @@ def load_config(path: Union[str, Path]) -> Config:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(not_utf8(path, exc))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}")
     if not isinstance(doc, dict) or "config" not in doc:

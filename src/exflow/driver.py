@@ -15,6 +15,7 @@ from .flow import (
 from .model import PlatformModel, SemanticModel, build_semantic_model
 from .report import ProjectReport, TryBundle, aggregate_project
 from .syntax import CompilationUnit, ParseError, parse_compilation_unit
+from .syntax.errors import not_utf8
 
 
 @dataclass
@@ -57,13 +58,13 @@ def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,
 def try_bundles(model: SemanticModel, sets: MethodSets,
                 config: Optional[Config] = None) -> list[TryBundle]:
     """Partition every try statement of the model and classify the actions
-    of each of its handlers."""
-    return [TryBundle(stmt, analyze_try_block(stmt, sets, model, method),
+    of each of its handlers from the handler's record."""
+    return [TryBundle(region, analyze_try_block(region, sets, model, method),
                       [HandlerClassification(
-                          clause.id, classify_actions(clause, config))
-                       for clause in stmt.catches],
+                          clause.id, classify_actions(clause.handler, config))
+                       for clause in region.catches],
                       method.unit)
-            for method, stmt in try_blocks(model)]
+            for method, region in try_blocks(model)]
 
 
 def _parse_file(path: Path) -> CompilationUnit:
@@ -73,9 +74,7 @@ def _parse_file(path: Path) -> CompilationUnit:
     try:
         source = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} "
-            f"at offset {exc.start}") from None
+        raise ParseError(not_utf8(path, exc)) from None
     try:
         return parse_compilation_unit(source, str(path))
     except RecursionError:

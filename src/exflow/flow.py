@@ -9,6 +9,9 @@ type ids and the region of its body. Catch and finally bodies belong to
 the region around their try. The walk tracks the declared variables in
 scope and resolves each call as it reaches it, through
 SemanticModel.resolve_invocation, which keeps the callee on the call node.
+It also records what each catch body does (classify.HandlerRecord), for
+the action detectors. Then the body is let go: from there on the analysis
+reads only the summary, and no statement of the method stays in memory.
 
 Per-method escaping sets are the least fixed point of
 
@@ -48,14 +51,18 @@ from functools import cache, cached_property, partial
 from operator import attrgetter
 from typing import Iterator, Optional, Union
 
-from .classify import Strategy, classify_strategy
+from .classify import (
+    Action, HandlerCall, HandlerRecord, Strategy, classify_strategy,
+    handler_call, mentions_todo, opening_actions, throw_action,
+)
 from .model import (
     CorpusMethod, ExternalMethod, MethodId, Scope, SemanticModel,
     Unresolved, method_id_str,
 )
 from .syntax.ast import (
-    Block, CatchClause, Expr, Invocation, Lambda, LocalDecl, LoopStmt,
-    NewInstance, SourcePosition, Statement, ThrowStmt, TryStmt,
+    Block, CatchClause, ContinueStmt, Expr, Invocation, Lambda, LocalDecl,
+    LoopStmt, Name, NewInstance, ReturnStmt, SourcePosition, Statement,
+    ThrowStmt, TryStmt,
 )
 from .syntax.walk import (
     statement_children, statement_expressions, sub_expressions,
@@ -129,7 +136,7 @@ class TryBlockAnalysis:
     try_id: str
     position: SourcePosition
     possible: frozenset[PossibleException]
-    handled: dict[PossibleException, tuple[CatchClause, str, Strategy]]
+    handled: dict[PossibleException, tuple["Clause", str, Strategy]]
     propagated: frozenset[PossibleException]
 
     @property
@@ -139,18 +146,37 @@ class TryBlockAnalysis:
 
 
 @dataclass(slots=True)
+class Clause:
+    """One catch clause as the analysis keeps it: the caught names as
+    written and as type ids (a name that is unknown or not in the model
+    matches nothing), and the record of what its handler does."""
+
+    caught_types: list[str]
+    position: SourcePosition
+    caught_ids: tuple[str, ...]
+    handler: HandlerRecord
+
+    @property
+    def id(self) -> str:
+        return str(self.position)
+
+
+@dataclass(slots=True)
 class TryRegion:
-    """One try statement: its clauses with the caught names resolved to type
-    ids (a name that is unknown or not in the model matches nothing), the
-    union of those ids, and the region of its body. analysis is the try's
+    """One try statement as the analysis keeps it: its clauses, the union of
+    their caught ids, and the region of its body. analysis is the try's
     partition under the converged fixed point, once analyze_try_block has
     run for its method."""
 
-    stmt: TryStmt
-    clauses: tuple[tuple[CatchClause, tuple[str, ...]], ...]
+    position: SourcePosition
+    catches: tuple[Clause, ...]
     caught: frozenset[str]
     body: "Region"
     analysis: Optional[TryBlockAnalysis] = None
+
+    @property
+    def id(self) -> str:
+        return str(self.position)
 
 
 @dataclass(slots=True)
@@ -183,13 +209,21 @@ def method_summary(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
     return method.summary
 
 
-def try_blocks(model: SemanticModel) -> list[tuple[CorpusMethod, TryStmt]]:
-    """Every try statement with its enclosing method, in position order."""
-    pairs = [(method, region.stmt) for method in model.corpus_methods()
+def try_blocks(model: SemanticModel) -> list[tuple[CorpusMethod, TryRegion]]:
+    """Every try statement, as its TryRegion, with its enclosing method, in
+    position order."""
+    pairs = [(method, region) for method in model.corpus_methods()
              for region in method_summary(model, method).tries.values()]
     pairs.sort(key=lambda pair: (pair[1].position.file, pair[1].position.line,
                                  pair[1].position.column))
     return pairs
+
+
+def handler_record(clause: CatchClause) -> HandlerRecord:
+    """The record of one clause's handler from a walk of the clause alone.
+    No call is resolved: each keeps the callee that a lowering of its
+    method stored on it, if any."""
+    return _ClauseWalk().catch_clause(clause, Scope(), Region()).handler
 
 
 def compute_method_exception_sets(model: SemanticModel, *,
@@ -225,7 +259,7 @@ def compute_method_exception_sets(model: SemanticModel, *,
     return sets
 
 
-def analyze_try_block(t: TryStmt, sets: MethodSets, model: SemanticModel,
+def analyze_try_block(t: TryRegion, sets: MethodSets, model: SemanticModel,
                       method: CorpusMethod) -> TryBlockAnalysis:
     """Partition the try body's possible exceptions into handled (with the
     first matching clause and its strategy) and propagated.
@@ -277,8 +311,9 @@ def _method_fact(evidence: frozenset, sources: frozenset) -> MethodFact:
 
 def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
     """Resolve the method's own exceptions, throw sites, call sites and
-    catch clauses in one walk of its body, diagnosing each unknown
-    exception name once."""
+    catch clauses, and record what each handler does, in one walk of its
+    body, diagnosing each unknown exception name once. The body is then
+    let go: the summary is all that the analysis keeps of it."""
     unit = method.unit
     decl = method.decl
     own: dict[str, frozenset[EvidenceKind]] = {}
@@ -302,6 +337,7 @@ def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
             params.declare(param.name, param.type_name)
         _Lowering(model, method, summary).statement(decl.body, params,
                                                     summary.body)
+        decl.body = None
     return summary
 
 
@@ -310,24 +346,36 @@ class _Lowering:
     declaration is seen by the statements after it; every nested statement
     and block opens a scope of its own. Calls resolve in pre-order, left
     to right, and a lambda or anonymous-class body is walked where it
-    stands, in the region of the statement that holds it."""
+    stands, in the region of the statement that holds it.
 
-    __slots__ = ("model", "method", "summary")
+    What a catch body does is noted, as the walk passes it, for its clause
+    and for each clause around it whose body holds it: handlers lists the
+    clauses open at that point as (caught variable, actions, calls).
+    Nothing under a throw counts toward any of them."""
+
+    __slots__ = ("model", "method", "summary", "handlers")
 
     def __init__(self, model: SemanticModel, method: CorpusMethod,
                  summary: MethodSummary):
         self.model = model
         self.method = method
         self.summary = summary
+        self.handlers: list[tuple[str, set[Action], list[HandlerCall]]] = []
 
-    def statements(self, statements: list[Statement], scope: Scope,
-                   region: Region) -> None:
-        for stmt in statements:
+    def note(self, action: Action) -> None:
+        for _variable, actions, _calls in self.handlers:
+            actions.add(action)
+
+    def block(self, block: Block, scope: Scope, region: Region) -> None:
+        """The block's statements, in the scope given."""
+        if self.handlers and mentions_todo(block):
+            self.note(Action.TODO)
+        for stmt in block.statements:
             self.statement(stmt, scope, region)
 
     def statement(self, stmt: Statement, scope: Scope, region: Region) -> None:
         if isinstance(stmt, Block):
-            self.statements(stmt.statements, Scope(scope), region)
+            self.block(stmt, Scope(scope), region)
         elif isinstance(stmt, LocalDecl):
             for var in stmt.declarations:
                 if var.initializer is not None:
@@ -335,7 +383,8 @@ class _Lowering:
                 scope.declare(var.name, var.type_name)
         elif isinstance(stmt, LoopStmt):
             inner = Scope(scope)
-            self.statements(stmt.init, inner, region)
+            for init in stmt.init:
+                self.statement(init, inner, region)
             if stmt.condition is not None:
                 self.expression(stmt.condition, inner, region)
             for update in stmt.update:
@@ -343,18 +392,13 @@ class _Lowering:
             self.statement(stmt.body, Scope(inner), region)
         elif isinstance(stmt, TryStmt):
             self.try_statement(stmt, scope, region)
+        elif isinstance(stmt, ThrowStmt):
+            self.throw_statement(stmt, scope, region)
         else:
-            if isinstance(stmt, ThrowStmt) and isinstance(stmt.thrown, NewInstance):
-                name = stmt.thrown.type_name
-                tid = self.model.resolve_exception_name(name, self.method.unit)
-                if tid is None:
-                    self.model.diagnostics.append(
-                        f"{stmt.position}: thrown type {name} is not a known "
-                        f"exception")
-                else:
-                    region.throws.append(PossibleException(
-                        tid, LexicalThrowOrigin(stmt.position), _THROWN,
-                        frozenset(), frozenset()))
+            if isinstance(stmt, ContinueStmt):
+                self.note(Action.CONTINUE)
+            elif isinstance(stmt, ReturnStmt):
+                self.note(Action.RETURN)
             for expr in statement_expressions(stmt):
                 self.expression(expr, scope, region)
             for child in statement_children(stmt):
@@ -365,64 +409,139 @@ class _Lowering:
         """The body goes into the try's own region; each clause's caught
         names are resolved as the clause is reached, and its body, like
         the finally block, stays in the region around the try."""
-        inner = TryRegion(stmt, (), frozenset(), Region())
+        self.note(Action.NESTED_TRY)
+        inner = TryRegion(stmt.position, (), frozenset(), Region())
         region.tries.append(inner)
-        self.summary.tries[stmt.id] = inner
-        self.statements(stmt.body.statements, Scope(scope), inner.body)
-        clauses = []
-        for clause in stmt.catches:
-            clauses.append((clause, _caught_ids(self.model, clause,
-                                                self.method)))
-            catch_scope = Scope(scope)
-            catch_scope.declare(clause.variable, clause.caught_types[0])
-            self.statements(clause.body.statements, catch_scope, region)
-        inner.clauses = tuple(clauses)
-        inner.caught = frozenset(tid for _clause, ids in clauses for tid in ids)
+        self.summary.tries[inner.id] = inner
+        self.block(stmt.body, Scope(scope), inner.body)
+        inner.catches = tuple(self.catch_clause(clause, scope, region)
+                              for clause in stmt.catches)
+        inner.caught = frozenset(tid for clause in inner.catches
+                                 for tid in clause.caught_ids)
         if stmt.finally_block is not None:
-            self.statements(stmt.finally_block.statements, Scope(scope), region)
+            self.block(stmt.finally_block, Scope(scope), region)
 
-    def expression(self, expr: Expr, scope: Scope, region: Region) -> None:
-        """Resolve every call in the expression. The walk keeps its own
-        stack, so a long concatenation nests to any depth; only a lambda
-        body, which has its own scope, is walked by a nested call."""
-        model, method, summary = self.model, self.method, self.summary
+    def catch_clause(self, clause: CatchClause, scope: Scope,
+                     region: Region) -> Clause:
+        """The clause with its caught names resolved, and its handler
+        recorded by a walk of its body with the clause open."""
+        caught_ids = self.caught_ids(clause)
+        catch_scope = Scope(scope)
+        catch_scope.declare(clause.variable, clause.caught_types[0])
+        actions, calls = opening_actions(clause), []
+        self.handlers.append((clause.variable, actions, calls))
+        self.block(clause.body, catch_scope, region)
+        self.handlers.pop()
+        return Clause(clause.caught_types, clause.position, caught_ids,
+                      HandlerRecord(frozenset(actions), tuple(calls)))
+
+    def throw_statement(self, stmt: ThrowStmt, scope: Scope,
+                        region: Region) -> None:
+        """A thrown `new T(...)` is a throw site of the region. Each open
+        handler takes the throw's action under its own caught variable;
+        nothing in the thrown expression counts toward a handler."""
+        handlers, self.handlers = self.handlers, []
+        named: Optional[set[str]] = set() if handlers else None
+        if isinstance(stmt.thrown, NewInstance):
+            self.throw_site(stmt, region)
+        for expr in statement_expressions(stmt):
+            self.expression(expr, scope, region, named)
+        self.handlers = handlers
+        for variable, actions, _calls in handlers:
+            action = throw_action(stmt.thrown, variable, named)
+            if action is not None:
+                actions.add(action)
+
+    def expression(self, expr: Expr, scope: Scope, region: Region,
+                   named: Optional[set[str]] = None) -> None:
+        """Resolve every call in the expression and note each invocation
+        for the open handlers. named, if given, collects the names that
+        the expression mentions outside lambda block bodies and
+        anonymous-class bodies. The walk keeps its own stack, so a long
+        concatenation nests to any depth; only a lambda body, which has
+        its own scope, is walked by a nested call."""
+        handlers = self.handlers
         stack = [expr]
         while stack:
             node = stack.pop()
             if isinstance(node, (Invocation, NewInstance)):
-                callee = model.resolve_invocation(node, method, scope)
-                if not isinstance(callee, Unresolved):
-                    region.calls.append(CallSiteOrigin(node.position, callee))
-                    summary.callees.add(callee)
+                self.call(node, scope, region)
+                if handlers and isinstance(node, Invocation):
+                    call = handler_call(node)
+                    for _variable, _actions, calls in handlers:
+                        calls.append(call)
                 if isinstance(node, NewInstance) and node.anonymous_body is not None:
-                    self.statements(node.anonymous_body.statements,
-                                    Scope(scope), region)
+                    self.block(node.anonymous_body, Scope(scope), region)
             elif isinstance(node, Lambda):
                 inner = Scope(scope)
                 for param in node.parameters:
                     inner.declare(param, None)
                 if isinstance(node.body, Block):
-                    self.statements(node.body.statements, inner, region)
+                    self.block(node.body, inner, region)
                 else:
-                    self.expression(node.body, inner, region)
+                    self.expression(node.body, inner, region, named)
                 continue
+            elif named is not None and isinstance(node, Name):
+                named.add(node.identifier)
             stack.extend(reversed(sub_expressions(node)))
 
+    # -- resolution --------------------------------------------------------
 
-def _caught_ids(model: SemanticModel, clause: CatchClause,
-                method: CorpusMethod) -> tuple[str, ...]:
-    """The clause's caught names as type ids; a name that is not a known
-    exception is diagnosed, and one that is not in the model is left out."""
-    ids = []
-    for name in clause.caught_types:
-        tid = model.resolve_type_name(name, method.unit)
-        if tid is None or tid not in model.exception_universe:
-            model.diagnostics.append(
-                f"{clause.position}: caught type {name} is not a known "
-                f"exception; the clause matches nothing")
-        if tid in model.types:
-            ids.append(tid)
-    return tuple(ids)
+    def call(self, node: Union[Invocation, NewInstance], scope: Scope,
+             region: Region) -> None:
+        """Resolve a call; a resolved one is a call site of the region and
+        an edge of the call graph."""
+        callee = self.model.resolve_invocation(node, self.method, scope)
+        if not isinstance(callee, Unresolved):
+            region.calls.append(CallSiteOrigin(node.position, callee))
+            self.summary.callees.add(callee)
+
+    def throw_site(self, stmt: ThrowStmt, region: Region) -> None:
+        name = stmt.thrown.type_name
+        tid = self.model.resolve_exception_name(name, self.method.unit)
+        if tid is None:
+            self.model.diagnostics.append(
+                f"{stmt.position}: thrown type {name} is not a known "
+                f"exception")
+        else:
+            region.throws.append(PossibleException(
+                tid, LexicalThrowOrigin(stmt.position), _THROWN,
+                frozenset(), frozenset()))
+
+    def caught_ids(self, clause: CatchClause) -> tuple[str, ...]:
+        """The clause's caught names as type ids; a name that is not a
+        known exception is diagnosed, and one that is not in the model is
+        left out."""
+        model = self.model
+        ids = []
+        for name in clause.caught_types:
+            tid = model.resolve_type_name(name, self.method.unit)
+            if tid is None or tid not in model.exception_universe:
+                model.diagnostics.append(
+                    f"{clause.position}: caught type {name} is not a known "
+                    f"exception; the clause matches nothing")
+            if tid in model.types:
+                ids.append(tid)
+        return tuple(ids)
+
+
+class _ClauseWalk(_Lowering):
+    """The lowering's walk with no model, for handler_record: it resolves
+    no name and no call, and adds no site to a region."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(None, None, MethodSummary({}, Region(), {}))
+
+    def call(self, node, scope, region) -> None:
+        pass
+
+    def throw_site(self, stmt, region) -> None:
+        pass
+
+    def caught_ids(self, clause) -> tuple[str, ...]:
+        return ()
 
 
 def _evaluate_method(method: CorpusMethod, sets: MethodSets,
@@ -488,12 +607,12 @@ def _partition(region: TryRegion, possible: frozenset[PossibleException],
                model: SemanticModel) -> TryBlockAnalysis:
     """Split the facts by the first clause that catches their type; handled
     keeps the order of _fact_key."""
-    outcome: dict[str, Optional[tuple[CatchClause, str, Strategy]]] = {}
+    outcome: dict[str, Optional[tuple[Clause, str, Strategy]]] = {}
     caught = []
     for fact in possible:
         tid = fact.type
         if tid not in outcome:
-            match = _first_match(model.ancestors[tid], region.clauses)
+            match = _first_match(model.ancestors[tid], region.catches)
             if match is not None:
                 clause, matched_type = match
                 match = (clause, matched_type,
@@ -504,8 +623,7 @@ def _partition(region: TryRegion, possible: frozenset[PossibleException],
     caught.sort(key=_fact_key)
     handled = {fact: outcome[fact.type] for fact in caught}
     propagated = possible.difference(handled) if handled else possible
-    stmt = region.stmt
-    return TryBlockAnalysis(stmt.id, stmt.position, possible, handled,
+    return TryBlockAnalysis(region.id, region.position, possible, handled,
                             propagated)
 
 
@@ -520,13 +638,12 @@ def _merge_method_fact(facts: dict[str, MethodFact], tid: str,
                                   existing.sources | fact.sources)
 
 
-def _first_match(above: frozenset[str],
-                 clauses: tuple[tuple[CatchClause, tuple[str, ...]], ...]
-                 ) -> Optional[tuple[CatchClause, str]]:
+def _first_match(above: frozenset[str], clauses: tuple[Clause, ...]
+                 ) -> Optional[tuple[Clause, str]]:
     """First clause (and first caught alternative) among the ancestors of
     the thrown type."""
-    for clause, caught in clauses:
-        for tid in caught:
+    for clause in clauses:
+        for tid in clause.caught_ids:
             if tid in above:
                 return clause, tid
     return None

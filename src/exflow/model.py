@@ -29,6 +29,7 @@ from .syntax.ast import (
     Cast, CompilationUnit, Expr, FieldAccess, Invocation, Literal,
     MethodDecl, Name, NewInstance, TypeDecl,
 )
+from .syntax.errors import not_utf8
 
 if TYPE_CHECKING:
     from .flow import MethodSummary
@@ -108,6 +109,8 @@ def load_platform_model(path: Union[str, Path], *, require_closed: bool = True) 
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise PlatformModelError(f"{path}: cannot read platform model: {exc}")
+    except UnicodeDecodeError as exc:
+        raise PlatformModelError(not_utf8(path, exc))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -391,7 +394,7 @@ class SemanticModel:
                 return Unresolved(f"unknown receiver {ident}")
             return self._lookup(tid, call.name, call.arity)
         if isinstance(receiver, FieldAccess):
-            dotted = _render_dotted(receiver)
+            dotted = dotted_name(receiver)
             if dotted is not None:
                 root = dotted.split(".", 1)[0]
                 found, _ = scope.lookup(root)
@@ -491,6 +494,7 @@ def build_semantic_model(units: list[CompilationUnit],
                     model.diagnostics.append(
                         f"{mdecl.position}: duplicate method "
                         f"{method_id_str(mid)}; calls to it are ambiguous")
+                    mdecl.body = None  # never lowered, so never read
                     continue
                 model.method_table[mid] = CorpusMethod(mid, mdecl, decl, unit)
     for method in platform.methods.values():
@@ -571,11 +575,12 @@ class Scope:
         return False, None
 
 
-def _render_dotted(expr: Expr) -> Optional[str]:
+def dotted_name(expr: Optional[Expr]) -> Optional[str]:
+    """`a.b.c` for a chain of field accesses on a name, else None."""
     if isinstance(expr, Name):
         return expr.identifier
     if isinstance(expr, FieldAccess):
-        prefix = _render_dotted(expr.target)
+        prefix = dotted_name(expr.target)
         if prefix is None:
             return None
         return f"{prefix}.{expr.name}"

@@ -21,9 +21,11 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, TextIO, Union
 
 from .classify import HandlerClassification, Strategy
-from .flow import EvidenceKind, TryBlockAnalysis, attribute_sources
+from .flow import (
+    EvidenceKind, TryBlockAnalysis, TryRegion, attribute_sources,
+)
 from .model import Recoverability, SemanticModel
-from .syntax.ast import CompilationUnit, TryStmt
+from .syntax.ast import CompilationUnit
 
 DIVERSITY_BUCKETS = ("1", "2", "3", "4", "5", ">5")
 
@@ -100,7 +102,7 @@ class CoverageSummary:
 @dataclass(slots=True)
 class TryBundle:
     """One analyzed try statement plus its handler classifications."""
-    stmt: TryStmt
+    stmt: TryRegion
     analysis: TryBlockAnalysis
     handlers: list[HandlerClassification]
     unit: Optional[CompilationUnit] = None

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from pathlib import Path
+from typing import Optional, Union
 
 from .ast import SourcePosition
 
@@ -12,3 +13,10 @@ class ParseError(Exception):
         self.message = message
         self.position = position
         super().__init__(f"{position}: {message}" if position else message)
+
+
+def not_utf8(path: Union[str, Path], exc: UnicodeDecodeError) -> str:
+    """The one-line complaint about a file that is not valid UTF-8: the
+    first byte that does not decode, and its offset."""
+    return (f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start}")

@@ -1,9 +1,7 @@
-"""Traversal helpers over the syntax tree.
-
-Expression iteration stays within one statement: it never descends into a
-nested Block (lambda bodies and hoisted anonymous-class bodies are yielded
-separately so callers can treat them as statement regions).
-"""
+"""Traversal helpers over the syntax tree: the direct children of one
+node. None of them descends into a nested Block; a walk treats lambda block
+bodies and hoisted anonymous-class bodies as statement regions of their
+own."""
 
 from __future__ import annotations
 
@@ -45,27 +43,6 @@ def sub_expressions(expr: Expr) -> list[Expr]:
     if isinstance(expr, Lambda) and not isinstance(expr.body, Block):
         return [expr.body]
     return []  # a lambda with a block body
-
-
-def iter_expressions(expr: Expr) -> Iterator[Expr]:
-    """The expression and all sub-expressions, in pre-order left to right,
-    without entering blocks. The walk keeps its own stack, so a left-deep
-    chain such as a long string concatenation nests to any depth."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(sub_expressions(node)))
-
-
-def nested_blocks(expr: Expr) -> Iterator[Block]:
-    """Statement blocks reachable from an expression: lambda bodies and
-    hoisted anonymous-class bodies."""
-    for node in iter_expressions(expr):
-        if isinstance(node, Lambda) and isinstance(node.body, Block):
-            yield node.body
-        if isinstance(node, NewInstance) and node.anonymous_body is not None:
-            yield node.anonymous_body
 
 
 def statement_expressions(stmt: Statement) -> Iterator[Expr]:

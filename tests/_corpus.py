@@ -18,9 +18,11 @@ from exflow.model import (
 )
 from exflow.flow import compute_method_exception_sets
 from exflow.syntax import parse_compilation_unit
-from exflow.syntax.ast import Statement, TryStmt
+from exflow.syntax.ast import (
+    Block, Expr, Lambda, NewInstance, Statement, TryStmt,
+)
 from exflow.syntax.walk import (
-    nested_blocks, statement_children, statement_expressions,
+    statement_children, statement_expressions, sub_expressions,
 )
 
 PACKAGE = "gen"
@@ -536,6 +538,26 @@ def partition_recoverability(propagated, model) -> tuple[set, set]:
 # ---------------------------------------------------------------------------
 # reference statement walks; the analyzer indexes tries while it resolves
 # ---------------------------------------------------------------------------
+
+def iter_expressions(expr: Expr) -> Iterator[Expr]:
+    """The expression and all sub-expressions, in pre-order left to right,
+    without entering blocks."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(sub_expressions(node)))
+
+
+def nested_blocks(expr: Expr) -> Iterator[Block]:
+    """Statement blocks reachable from an expression: lambda bodies and
+    hoisted anonymous-class bodies."""
+    for node in iter_expressions(expr):
+        if isinstance(node, Lambda) and isinstance(node.body, Block):
+            yield node.body
+        if isinstance(node, NewInstance) and node.anonymous_body is not None:
+            yield node.anonymous_body
+
 
 def iter_statements(statements: list[Statement]) -> Iterator[Statement]:
     """All statements in a region, depth-first, nested regions included."""

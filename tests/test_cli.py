@@ -526,6 +526,55 @@ def test_bad_config_exits_two(capsys, tmp_path, fig1_dir, jre_mini_path):
     assert "unknown keys" in err
 
 
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize("entry", [
+    "config", "platform", "platform-path", "report", "stats"])
+def test_json_input_that_is_not_utf8_exits_two(capsys, tmp_path, monkeypatch,
+                                               fig1_dir, jre_mini_path,
+                                               entry):
+    (tmp_path / "platforms").mkdir()
+    bad = tmp_path / "platforms" / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    analyze = ["analyze", "--project", str(fig1_dir)]
+    argv = {
+        "config": [*analyze, "--platform", str(jre_mini_path),
+                   "--config", str(bad)],
+        "platform": [*analyze, "--platform", str(bad)],
+        "platform-path": analyze,
+        "report": ["report", "--inputs", str(bad), "--out", str(tmp_path)],
+        "stats": ["stats", "--group-a", str(bad), "--group-b", str(bad),
+                  "--metric", "total"],
+    }[entry]
+    monkeypatch.setenv("EXFLOW_PLATFORM_PATH", str(bad.parent))
+    code, out, err = run(capsys, *argv)
+    reason = f"{bad}: not valid UTF-8: byte 0xff at offset 0"
+    if entry in ("report", "stats"):
+        reason = f"cannot load report {reason}"
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_internal_error_exits_four_with_one_line(capsys, monkeypatch,
+                                                 fig1_dir, jre_mini_path,
+                                                 debug):
+    def failing_analysis(*args, **kwargs):
+        raise KeyError("injected")
+
+    monkeypatch.setattr(cli, "analyze_project", failing_analysis)
+    code, out, err = run(capsys, *(["--debug"] if debug else []), "analyze",
+                         "--project", str(fig1_dir),
+                         "--platform", str(jre_mini_path))
+    assert (code, out) == (4, "")
+    assert err.endswith("error: internal error: KeyError: 'injected'\n")
+    if debug:
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert "in failing_analysis" in err
+    else:
+        assert err.count("\n") == 1
+
+
 def test_report_command_roundtrip(capsys, tmp_path, fig1_dir, jre_mini_path):
     first = tmp_path / "a.json"
     run(capsys, "analyze", "--project", str(fig1_dir),
@@ -691,8 +740,9 @@ def test_main_leaves_the_collector_as_it_found_it(
             assert run(capsys, *argv, *platform)[0] == expected
             assert gc.isenabled() is collecting
         monkeypatch.setattr(cli, "analyze_project", failing_analysis)
-        with pytest.raises(RuntimeError, match="unexpected"):
-            main(["analyze", "--project", str(fig1_dir), *platform])
+        assert run(capsys, "analyze", "--project", str(fig1_dir),
+                   *platform)[::2] == (
+            4, "error: internal error: RuntimeError: unexpected\n")
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was_collecting else gc.disable)()

@@ -662,7 +662,7 @@ def walked_partition(model, sets, method, stmt):
     possible = frozenset(_reaching(region.body, sets, model.ancestors).values())
     handled = {}
     for fact in sorted(possible, key=flow._fact_key):
-        match = flow._first_match(model.ancestors[fact.type], region.clauses)
+        match = flow._first_match(model.ancestors[fact.type], region.catches)
         if match is not None:
             clause, matched = match
             handled[fact] = (clause, matched,

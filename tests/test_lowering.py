@@ -1,0 +1,189 @@
+"""What the lowering of a method body keeps, and what it lets go.
+
+The lowering is the last reader of a method body: it records what each
+catch body does as it walks it, so classifying a handler walks nothing,
+and once a method is lowered no statement of it is reachable from the
+analysis.
+"""
+
+import gc
+from pathlib import Path
+
+import pytest
+
+from _corpus import generate_corpus, platform_document_multi, render_app
+from exflow import driver, flow
+from exflow.classify import classify_actions
+from exflow.config import Config, config_from_dict
+from exflow.driver import analyze_project
+from exflow.model import parse_platform_document
+from exflow.syntax import ast, parse_compilation_unit
+from exflow.syntax import walk
+
+HANDLERS_DIR = Path(__file__).parent / "data" / "handlers"
+
+# an extra log name and an abort signature that the fixtures call through
+# a receiver, so a bare clause, whose calls are not resolved, matches it too
+CONFIG = config_from_dict({
+    "log_method_names": ["warn", "shout"],
+    "abort_signatures": ["java.lang.System#exit(1)",
+                         "handlers.Fatal#stop(1)"],
+})
+
+# every node of a method body: statements, clauses, comments, expressions
+BODY_NODES = tuple(
+    cls for cls in vars(ast).values()
+    if isinstance(cls, type) and cls.__module__ == ast.__name__
+    and cls not in (ast.SourcePosition, ast.CompilationUnit, ast.TypeDecl,
+                    ast.MethodDecl, ast.Param, ast.DocComment))
+
+
+def tree(name, tmp_path, fig1_dir, jre_mini):
+    """The project directory and platform model of one test tree."""
+    if name == "fig1":
+        return fig1_dir, jre_mini
+    if name == "handlers":
+        return HANDLERS_DIR, jre_mini
+    corpus = generate_corpus(3, cyclic=True, max_methods=30)
+    (tmp_path / "gen").mkdir()
+    (tmp_path / "gen" / "App.java").write_text(render_app(corpus))
+    platform = parse_platform_document(
+        platform_document_multi([("gen", corpus)]), "gen")
+    return tmp_path, platform
+
+
+def fresh_clauses(project):
+    """Every catch clause of a fresh parse of the project, by id."""
+    clauses = {}
+    for path in sorted(Path(project).rglob("*.java")):
+        unit = parse_compilation_unit(path.read_text(), str(path))
+        stack = [m.body for t in unit.types for m in t.methods
+                 if m.body is not None]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.CatchClause):
+                clauses[node.id] = node
+            for value in (getattr(node, f) for f in node.__slots__):
+                for item in (value if isinstance(value, list) else [value]):
+                    if isinstance(item, BODY_NODES):
+                        stack.append(item)
+    return clauses
+
+
+def reachable(root):
+    """Every object reachable from root through containers and exflow
+    objects; types, modules and functions are not followed."""
+    seen = {id(root): root}
+    queue = [root]
+    while queue:
+        obj = queue.pop()
+        for ref in gc.get_referents(obj):
+            if id(ref) in seen or isinstance(ref, type):
+                continue
+            if not isinstance(ref, (list, tuple, dict, set, frozenset)) \
+                    and not type(ref).__module__.startswith("exflow"):
+                continue
+            seen[id(ref)] = ref
+            queue.append(ref)
+    return seen.values()
+
+
+@pytest.mark.parametrize("name", ["fig1", "cyclic", "handlers"])
+def test_actions_are_the_same_by_both_paths(name, tmp_path, fig1_dir,
+                                            jre_mini):
+    # analyze_project classifies the record the lowering kept; a bare
+    # clause is walked for its record on its own
+    project, platform = tree(name, tmp_path, fig1_dir, jre_mini)
+    result = analyze_project(project, platform, CONFIG)
+    clauses = fresh_clauses(project)
+    handlers = [h for bundle in result.bundles for h in bundle.handlers]
+    assert handlers and len(handlers) == len(clauses)
+    for handler in handlers:
+        assert handler.actions == classify_actions(
+            clauses[handler.catch_id], CONFIG), handler.catch_id
+
+
+def test_handler_fixture_actions(jre_mini):
+    # nested tries, lambdas and anonymous classes inside handlers count,
+    # and nothing under a throw does
+    result = analyze_project(HANDLERS_DIR, jre_mini, CONFIG)
+    actions = {h.catch_id.rsplit(":", 2)[1]: sorted(a.value for a in h.actions)
+               for bundle in result.bundles for h in bundle.handlers}
+    assert actions == {
+        "21": ["Abort", "Log", "Method", "NestedTry", "ThrowWrap"],
+        "25": ["Log", "ThrowNew"],
+        "37": ["Abort", "Method", "Return", "Todo"],
+        "54": ["Method", "ThrowWrap", "Todo"],
+        "66": ["ThrowNew"],
+        "72": ["Method", "Return"],
+        "85": ["Continue", "Log"],
+        "88": ["ThrowCurrent"],
+        "90": ["Default"],
+        "92": ["Empty"],
+        "100": ["Log", "Method", "NestedTry"],
+        "104": ["Method"],
+    }
+
+
+def test_classifying_a_handler_walks_nothing(monkeypatch, jre_mini):
+    inside = []
+    counted = []
+    classified = []
+    classify = driver.classify_actions
+
+    def classifying(*args):
+        classified.append(args[0])
+        inside.append(True)
+        try:
+            return classify(*args)
+        finally:
+            inside.pop()
+
+    def counting(module):
+        real = module.sub_expressions
+
+        def sub_expressions(expr):
+            if inside:
+                counted.append(expr)
+            return real(expr)
+        return sub_expressions
+
+    monkeypatch.setattr(walk, "sub_expressions", counting(walk))
+    monkeypatch.setattr(flow, "sub_expressions", counting(flow))
+    monkeypatch.setattr(driver, "classify_actions", classifying)
+    analyze_project(HANDLERS_DIR, jre_mini, CONFIG)
+    assert len(classified) == 12
+    assert counted == []
+
+
+@pytest.mark.parametrize("transitive", [False, True])
+@pytest.mark.parametrize("name", ["fig1", "cyclic"])
+def test_no_statement_reachable_after_analysis(name, transitive, tmp_path,
+                                               fig1_dir, jre_mini):
+    project, platform = tree(name, tmp_path, fig1_dir, jre_mini)
+    result = analyze_project(project, platform,
+                             Config(transitive_origins=transitive))
+    objects = list(reachable(result))
+    assert any(isinstance(obj, flow.TryRegion) for obj in objects)
+    assert any(isinstance(obj, ast.MethodDecl) for obj in objects)
+    kept = sorted({type(obj).__name__ for obj in objects
+                   if isinstance(obj, BODY_NODES)})
+    assert kept == []
+
+
+def test_every_corpus_body_is_let_go(tmp_path, jre_mini):
+    (tmp_path / "A.java").write_text(
+        "package app;\n"
+        "class A {\n"
+        "  void f() { try { g(); } catch (Exception e) { g(); } }\n"
+        "  void g() {}\n"
+        "  void g() { f(); }\n"
+        "  abstract void h();\n"
+        "}\n")
+    for project in (tmp_path, HANDLERS_DIR):
+        result = analyze_project(project, jre_mini)
+        units = {id(m.unit): m.unit for m in result.model.corpus_methods()}
+        decls = [m for unit in units.values() for t in unit.types
+                 for m in t.methods]
+        assert len(decls) > 3
+        assert [m.name for m in decls if m.body is not None] == []

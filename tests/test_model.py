@@ -20,14 +20,15 @@ from exflow.model import (
     validate_platform_closure,
 )
 from _corpus import (
-    generate_corpus, iter_statements, platform_document, render_app,
-    render_exceptions, try_statements_in,
+    generate_corpus, iter_expressions, iter_statements, platform_document,
+    render_app, render_exceptions, try_statements_in,
 )
 from exflow.driver import analyze_project
+from exflow import flow
 from exflow.flow import method_summary, try_blocks
 from exflow.syntax import parse_compilation_unit
 from exflow.syntax.ast import Invocation, NewInstance
-from exflow.syntax.walk import iter_expressions, statement_expressions
+from exflow.syntax.walk import statement_expressions
 
 
 def base_types():
@@ -62,9 +63,9 @@ def model_and_units(sources, platform_model):
     return build_semantic_model(units, platform_model), units
 
 
-def calls_in(method):
+def calls_in(body):
     out = []
-    for stmt in iter_statements(method.decl.body.statements):
+    for stmt in iter_statements(body.statements):
         for expr in statement_expressions(stmt):
             for node in iter_expressions(expr):
                 if isinstance(node, (Invocation, NewInstance)):
@@ -74,10 +75,12 @@ def calls_in(method):
 
 def lowered_calls(model, mid):
     """The method's calls once its body is lowered, which stores the
-    resolved callee on each call."""
+    resolved callee on each call. The body is taken first: the lowering
+    lets it go."""
     method = model.method_table[mid]
+    body = method.decl.body
     method_summary(model, method)
-    return calls_in(method)
+    return calls_in(body)
 
 
 # -- signatures and document schema -----------------------------------------
@@ -405,8 +408,9 @@ def test_unqualified_and_this_calls_resolve_to_own_type():
         assert call.callee == ("app.A", "g", 0)
     # a call in an anonymous-class body counts in the region around it
     method = model.method_table[("app.A", "k", 0)]
+    body = method.decl.body
     (guarded,) = method_summary(model, method).body.tries
-    (call,) = [c for c in calls_in(method) if isinstance(c, Invocation)]
+    (call,) = [c for c in calls_in(body) if isinstance(c, Invocation)]
     assert call.callee == ("app.A", "g", 0)
     assert [(o.position, o.callee) for o in guarded.body.calls] == [
         (call.position, ("app.A", "g", 0))]
@@ -574,10 +578,19 @@ def test_each_call_site_resolves_once(tree, tmp_path, monkeypatch, fig1_dir,
         resolved[id(call)] += 1
         return resolve(model, call, *args)
 
+    # the lowering lets each body go, so each is taken as it is lowered
+    bodies = []
+    lower = flow._lower
+
+    def taking_body(model, method):
+        bodies.append(method.decl.body)
+        return lower(model, method)
+
     monkeypatch.setattr(SemanticModel, "resolve_invocation", counting)
-    result = analyze_project(tmp_path, platform_model)
-    sites = [call for method in result.model.corpus_methods()
-             for call in calls_in(method)]
+    monkeypatch.setattr(flow, "_lower", taking_body)
+    analyze_project(tmp_path, platform_model)
+    sites = [call for body in bodies if body is not None
+             for call in calls_in(body)]
     assert sites
     assert resolved == Counter(id(call) for call in sites)
 
@@ -589,7 +602,7 @@ def test_each_call_site_resolves_once(tree, tmp_path, monkeypatch, fig1_dir,
     assert not resolved
     assert not any("unresolved call" in d for d in model.diagnostics)
     assert all(call.callee is None for method in model.corpus_methods()
-               for call in calls_in(method))
+               for call in calls_in(method.decl.body))
 
 
 def test_unknown_caught_type_diagnosed():
@@ -637,30 +650,33 @@ NESTED_TRIES = (
 
 
 def walked_tries(model):
-    """The try index rebuilt by walking every corpus method body."""
+    """The try index rebuilt by walking every corpus method body; taken
+    before the lowering lets the bodies go."""
     pairs = [(method, t) for method in model.corpus_methods()
              if method.decl.body is not None
              for t in try_statements_in(method.decl.body.statements)]
     pairs.sort(key=lambda pair: (pair[1].position.file, pair[1].position.line,
                                  pair[1].position.column))
-    return [(method.id, id(t)) for method, t in pairs]
+    return [(method.id, t.position) for method, t in pairs]
 
 
 def indexed_tries(model):
-    return [(method.id, id(t)) for method, t in try_blocks(model)]
+    return [(method.id, t.position) for method, t in try_blocks(model)]
 
 
 def test_try_index_matches_a_walk_of_every_body():
     model = model_from([NESTED_TRIES], platform())
+    walked = walked_tries(model)
     assert len(try_blocks(model)) == 6
-    assert indexed_tries(model) == walked_tries(model)
+    assert indexed_tries(model) == walked
     for seed in range(60):
         for cyclic in (False, True):
             units = [parse_compilation_unit(
                 render_app(generate_corpus(seed, cyclic=cyclic)),
                 "gen/App.java")]
             model = build_semantic_model(units, platform())
-            assert indexed_tries(model) == walked_tries(model), f"seed {seed}"
+            walked = walked_tries(model)
+            assert indexed_tries(model) == walked, f"seed {seed}"
 
 
 def test_unknown_caught_name_in_nested_tries_diagnosed_once(tmp_path):
