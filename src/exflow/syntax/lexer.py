@@ -4,15 +4,27 @@ One compiled master regex does the scanning: each token class is a named
 group, and ``finditer`` walks the source match by match, each match taking
 the whitespace before its token. Maximal munch comes from the order of the
 alternatives (floats before ints, longer punctuators before their
-prefixes); a last one-character group catches what no class matches. Line
-and column are worked out from offsets.
+prefixes); a last one-character group catches what no class matches.
 
-Identifier and keyword texts are interned with ``sys.intern``, so every
-occurrence of one spelling, across all files of a run, is the same string
-object: the tree holds one copy of each name instead of one per token.
-Literal texts are left as they are.
+A file's tokens are three parallel arrays, with no object per token:
 
-Comments never enter the token stream; they are collected on the side with
+- ``tags``: the text of a keyword or punctuator, and otherwise a kind tag
+  (``IDENT``, ``INT``, ``FLOAT``, ``CHAR``, ``STRING``, ``EOF``) that no
+  keyword or punctuator can equal, so one compare tells both kind and text;
+- ``texts``: the token text;
+- ``offsets``: the start offset of each token, in an ``array``.
+
+Line and column are not tracked as the scan goes. They are worked out from
+an offset, by bisecting over the offsets where lines start, only when a
+``SourcePosition`` is built: for a node of the tree, a comment or a
+``ParseError``.
+
+Identifier, keyword and punctuator texts are interned with ``sys.intern``,
+so every occurrence of one spelling, across all files of a run, is the same
+string object: the tree holds one copy of each name instead of one per
+token. Literal texts are left as they are.
+
+Comments never enter the token arrays; they are collected on the side with
 their positions and character offsets so the parser can attach doc comments
 to declarations and ordinary comments to their nearest enclosing block.
 """
@@ -21,7 +33,10 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import NamedTuple, Sequence
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .ast import Comment, SourcePosition
 from .errors import ParseError
@@ -47,6 +62,15 @@ MODIFIERS = frozenset({
     "default",
 })
 
+# kind tags: the tag of every token that is no keyword or punctuator
+IDENT = "<ident>"
+INT = "<int>"
+FLOAT = "<float>"
+CHAR = "<char>"
+STRING = "<string>"
+EOF = "<eof>"
+LITERALS = frozenset({INT, FLOAT, CHAR, STRING})
+
 _PUNCT = [
     ">>>=", "<<=", ">>=", ">>>", "...", "<<", ">>", "->", "::", "++", "--",
     "&&", "||", "<=", ">=", "==", "!=", "+=", "-=", "*=", "/=", "%=", "&=",
@@ -57,6 +81,7 @@ _PUNCT = [
 
 _DIGITS = r"\d[\d_]*"
 _EXPONENT = r"[eE][+-]?\d+"
+_HEX = r"[0-9a-fA-F][0-9a-fA-F_]*"
 # One match is a run of whitespace and then a token, a comment or the end
 # of the source, so whitespace costs no match of its own. Alternatives are
 # tried in order and the first that matches wins, so each class comes
@@ -66,10 +91,16 @@ _EXPONENT = r"[eE][+-]?\d+"
 _TOKEN = re.compile(r"[ \t\r\n\f]*(?:" + "|".join(
     f"(?P<{kind}>{pattern})" for kind, pattern in (
         ("comment", r"//[^\n]*|/\*.*?\*/"),
-        ("unclosed", r"/\*"),
+        # a text block: three quotes and a line end open it, and the first
+        # three quotes that no backslash escapes close it
+        ("block", r'"""[ \t\f]*(?:\r\n?|\n)'
+                  r'[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"""'),
+        ("unclosed", r'/\*|"""[ \t\f]*[\r\n]'),
         ("ident", r"(?:[^\W\d]|\$)[\w$]*"),
         ("float", rf"(?:{_DIGITS})?\.{_DIGITS}(?:{_EXPONENT})?[lLfFdD]?"
-                  rf"|{_DIGITS}(?:{_EXPONENT}[lLfFdD]?|[fFdD])"),
+                  rf"|{_DIGITS}(?:{_EXPONENT}[lLfFdD]?|[fFdD])"
+                  rf"|0[xX](?:{_HEX}\.?|(?:{_HEX})?\.{_HEX})"
+                  r"[pP][+-]?\d+[fFdD]?"),
         ("int", rf"0[xXbB]\w*|{_DIGITS}[lL]?"),
         ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
         ("char", r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"),
@@ -79,8 +110,10 @@ _TOKEN = re.compile(r"[ \t\r\n\f]*(?:" + "|".join(
         ("bad", r"."),
     )) + ")", re.DOTALL)
 
-# comments_before of a token that follows no comment; shared, never mutated
-_NO_COMMENTS: Sequence[int] = ()
+_NEWLINE = re.compile("\n")
+
+_LITERAL_TAG = {"float": FLOAT, "int": INT, "string": STRING,
+                "block": STRING, "char": CHAR}
 
 _UNTERMINATED = {
     "/*": "unterminated block comment",
@@ -88,8 +121,13 @@ _UNTERMINATED = {
     "'": "unterminated character literal",
 }
 
+_KIND = {IDENT: "ident", INT: "int", FLOAT: "float", CHAR: "char",
+         STRING: "string", EOF: "eof"}
+
 
 class Token(NamedTuple):
+    """One token, as ``LexedSource.tokens`` hands it out on a read."""
+
     kind: str  # "ident" | "kw" | "int" | "float" | "char" | "string" | "punct" | "eof"
     text: str
     line: int
@@ -101,77 +139,131 @@ class Token(NamedTuple):
 
 
 class LexedSource:
-    """Tokens plus side-channel comments for one source file."""
+    """The token arrays plus side-channel comments for one source file.
 
-    def __init__(self, tokens: list[Token], comments: list[Comment],
-                 comment_spans: list[tuple[int, int]],
-                 comments_before: list[Sequence[int]], file: str):
-        self.tokens = tokens
-        self.comments = comments
-        self.comment_spans = comment_spans  # (start, end) offsets per comment
-        # for each token index, indices of comments between it and the
-        # previous token (one shared empty tuple when there are none)
-        self.comments_before = comments_before
+    ``tags``, ``texts`` and ``offsets`` hold one entry per token, the eof
+    token last. ``comment_tokens`` holds, per comment, the index of the
+    token that follows it, so comments are associated with tokens without
+    an entry for every token.
+    """
+
+    def __init__(self, source: str, file: str, tags: list[str],
+                 texts: list[str], offsets: array,
+                 comment_spans: list[tuple[int, int]], comment_tokens: array):
         self.file = file
+        self.tags = tags
+        self.texts = texts
+        self.offsets = offsets
+        self.comment_spans = comment_spans  # (start, end) offsets per comment
+        self.comment_tokens = comment_tokens
+        # the offset where each line starts, for positions on demand, and
+        # one int object per line number, so that every position on a line
+        # holds the same one
+        self.line_starts = array("I", [0])
+        self.line_starts.extend(m.end() for m in _NEWLINE.finditer(source))
+        self.line_numbers = list(range(1, len(self.line_starts) + 1))
+        self.comments = [
+            Comment(source[start:end], self.position(start),
+                    source.startswith("/**", start) and end - start > 4)
+            for start, end in comment_spans]
+
+    def position(self, offset: int) -> SourcePosition:
+        """The line and column of a character offset."""
+        line = bisect_right(self.line_starts, offset) - 1
+        return SourcePosition(self.file, self.line_numbers[line],
+                              offset - self.line_starts[line] + 1)
+
+    def position_at(self, index: int) -> SourcePosition:
+        """The position of the token at index; the parser's hot path, so it
+        bisects itself rather than calling position."""
+        offset = self.offsets[index]
+        line = bisect_right(self.line_starts, offset) - 1
+        return SourcePosition(self.file, self.line_numbers[line],
+                              offset - self.line_starts[line] + 1)
+
+    def comments_before(self, index: int) -> range:
+        """Indices of the comments between the token at index and the one
+        before it."""
+        tokens = self.comment_tokens
+        return range(bisect_left(tokens, index), bisect_right(tokens, index))
+
+    @property
+    def tokens(self) -> Sequence[Token]:
+        """The tokens as ``Token`` tuples, each built when it is read."""
+        return _TokenView(self)
 
 
-# builds a Token without the Python-level __new__ that NamedTuple adds
-_new_tuple = tuple.__new__
+class _TokenView(Sequence[Token]):
+    def __init__(self, lexed: LexedSource):
+        self._lexed = lexed
+
+    def __len__(self) -> int:
+        return len(self._lexed.tags)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        lexed = self._lexed
+        tag = lexed.tags[index]
+        position = lexed.position_at(index)
+        kind = _KIND.get(tag) or ("kw" if tag in KEYWORDS else "punct")
+        return Token(kind, lexed.texts[index], position.line,
+                     position.column, lexed.offsets[index])
 
 
 def tokenize(source: str, file: str) -> LexedSource:
-    tokens: list[Token] = []
-    comments: list[Comment] = []
+    tags: list[str] = []
+    texts: list[str] = []
+    offsets = array("I")
     comment_spans: list[tuple[int, int]] = []
-    comments_before: list[Sequence[int]] = []
-    pending: Sequence[int] = _NO_COMMENTS
-    line = 1
-    line_start = 0  # offset of the first character of the current line
-    end = 0  # end of the previous match
+    comment_tokens = array("I")
+    add_tag, add_text, add_offset = tags.append, texts.append, offsets.append
     intern = sys.intern
+    # a word character that is no letter, such as '½', cannot start an
+    # identifier; only a source with a non-ASCII character can hold one
+    check_start = not source.isascii()
+    end = 0
 
     for match in _TOKEN.finditer(source):
         kind = match.lastgroup
-        start = match.start(kind)
-        newlines = source.count("\n", end, start)
-        if newlines:
-            line += newlines
-            line_start = source.rindex("\n", end, start) + 1
-        end = match.end()
-        column = start - line_start + 1
-        if kind == "eof":
-            break
-        text = source[start:end]
-        if kind == "comment":
-            is_doc = text.startswith("/**") and len(text) > 4
-            comments.append(
-                Comment(text, SourcePosition(file, line, column), is_doc))
+        start, end = match.span(kind)
+        if kind == "punct":
+            text = intern(source[start:end])
+            add_tag(text)
+        elif kind == "ident":
+            text = intern(source[start:end])
+            if text in KEYWORDS:
+                add_tag(text)
+            elif check_start and not (text[0].isalpha() or text[0] in "_$"):
+                _fail(source, file, start, text[0])
+            else:
+                add_tag(IDENT)
+        elif kind == "comment":
             comment_spans.append((start, end))
-            if not pending:
-                pending = []
-            pending.append(len(comments) - 1)
+            comment_tokens.append(len(tags))
+            continue
+        elif kind == "eof":
+            break
+        elif kind in _LITERAL_TAG:
+            text = source[start:end]
+            add_tag(_LITERAL_TAG[kind])
         else:
-            if kind == "ident":
-                text = intern(text)
-                if text in KEYWORDS:
-                    kind = "kw"
-                elif not (text[0].isalpha() or text[0] in "_$"):
-                    # a numeric character such as '½' is a word character
-                    # but cannot start an identifier
-                    kind = "bad"
-                    text = text[0]
-            if kind in ("unclosed", "bad"):
-                message = _UNTERMINATED.get(
-                    text, f"unexpected character {text!r}")
-                raise ParseError(message, SourcePosition(file, line, column))
-            tokens.append(_new_tuple(Token, (kind, text, line, column, start)))
-            comments_before.append(pending)
-            pending = _NO_COMMENTS
-        # a block comment, or a string or char with a backslash-newline
-        if "\n" in text:
-            line += text.count("\n")
-            line_start = start + text.rindex("\n") + 1
+            _fail(source, file, start, source[start:end])
+        add_text(text)
+        add_offset(start)
 
-    tokens.append(Token("eof", "", line, column, end))
-    comments_before.append(pending)
-    return LexedSource(tokens, comments, comment_spans, comments_before, file)
+    add_tag(EOF)
+    add_text("")
+    add_offset(end)
+    return LexedSource(source, file, tags, texts, offsets, comment_spans,
+                       comment_tokens)
+
+
+def _fail(source: str, file: str, start: int, text: str) -> None:
+    if text.startswith('"""'):
+        message = "unterminated text block"
+    else:
+        message = _UNTERMINATED.get(text, f"unexpected character {text!r}")
+    line_start = source.rfind("\n", 0, start) + 1
+    raise ParseError(message, SourcePosition(
+        file, source.count("\n", 0, start) + 1, start - line_start + 1))

@@ -29,7 +29,10 @@ from .ast import (
 )
 from .errors import ParseError
 from .javadoc import parse_doc_comment
-from .lexer import LexedSource, MODIFIERS, PRIMITIVE_TYPES, Token, tokenize
+from .lexer import (
+    EOF, IDENT, KEYWORDS, LITERALS, LexedSource, MODIFIERS, PRIMITIVE_TYPES,
+    tokenize,
+)
 
 _ASSIGN_OPS = frozenset({
     "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=",
@@ -45,6 +48,16 @@ _BINARY_LEVEL = {
 
 # what may follow the first declared name of a local declaration
 _LOCAL_FOLLOW = ("=", ",", ";", "[")
+
+_PREFIX_OPS = frozenset({"+", "-", "!", "~", "++", "--"})
+
+# tokens a type-argument list may hold besides its angle brackets
+_GENERIC_TAGS = PRIMITIVE_TYPES | {
+    IDENT, "extends", "super", ",", ".", "?", "&", "[", "]", "@"}
+
+# tokens that can start the operand of a cast
+_CAST_OPERAND_STARTS = LITERALS | {
+    IDENT, "(", "!", "~", "this", "super", "new", "true", "false", "null"}
 
 
 def parse_compilation_unit(source: str, file: str) -> CompilationUnit:
@@ -63,56 +76,56 @@ def parse_compilation_unit(source: str, file: str) -> CompilationUnit:
 class _Parser:
     def __init__(self, lexed: LexedSource):
         self.lexed = lexed
-        self.toks = lexed.tokens
+        self.tags = lexed.tags
+        self.texts = lexed.texts
+        self.offsets = lexed.offsets
         self.file = lexed.file
+        self._position = lexed.position_at
         self.pos = 0
+        self.last = len(lexed.tags) - 1  # the eof token
         self.blocks: list[Block] = []
 
     # ------------------------------------------------------------------
-    # token plumbing
+    # token plumbing: a token is its index into the lexer's arrays
     # ------------------------------------------------------------------
 
-    def _cur(self) -> Token:
-        return self.toks[self.pos]
+    def _peek(self, k: int = 1) -> str:
+        """The tag k tokens ahead, eof past the end."""
+        return self.tags[min(self.pos + k, self.last)]
 
-    def _peek(self, k: int = 1) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def _advance(self) -> int:
+        """Consume the current token, which is known not to be eof."""
+        i = self.pos
+        self.pos = i + 1
+        return i
 
-    def _advance(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
+    def _at(self, tag: str) -> bool:
+        return self.tags[self.pos] == tag
+
+    def _accept(self, tag: str) -> bool:
+        if self.tags[self.pos] == tag:
             self.pos += 1
-        return tok
-
-    def _at(self, text: str) -> bool:
-        tok = self._cur()
-        return tok.text == text and tok.kind in ("punct", "kw")
-
-    def _accept(self, text: str) -> bool:
-        if self._at(text):
-            self._advance()
             return True
         return False
 
-    def _expect(self, text: str) -> Token:
-        if not self._at(text):
-            tok = self._cur()
-            raise ParseError(
-                f"expected {text!r}, found {tok.text or 'end of file'!r}",
-                tok.position(self.file))
-        return self._advance()
+    def _expect(self, tag: str) -> int:
+        i = self.pos
+        if self.tags[i] != tag:
+            raise self._error(
+                f"expected {tag!r}, found {self.texts[i] or 'end of file'!r}")
+        self.pos = i + 1
+        return i
 
     def _ident(self) -> str:
-        tok = self._cur()
-        if tok.kind != "ident":
-            raise ParseError(
-                f"expected identifier, found {tok.text or 'end of file'!r}",
-                tok.position(self.file))
-        self._advance()
-        return tok.text
+        i = self.pos
+        if self.tags[i] != IDENT:
+            raise self._error(
+                f"expected identifier, found {self.texts[i] or 'end of file'!r}")
+        self.pos = i + 1
+        return self.texts[i]
 
     def _error(self, message: str) -> ParseError:
-        return ParseError(message, self._cur().position(self.file))
+        return ParseError(message, self._position(self.pos))
 
     # ------------------------------------------------------------------
     # compilation unit
@@ -120,21 +133,19 @@ class _Parser:
 
     def parse_unit(self) -> CompilationUnit:
         package = ""
-        if self._at("package"):
-            self._advance()
+        if self._accept("package"):
             package = self._qualified()
             self._expect(";")
         imports: list[str] = []
-        while self._at("import"):
-            self._advance()
+        while self._accept("import"):
             # static imports bring in members, not types; skip them
-            is_static = bool(self._accept("static"))
+            is_static = self._accept("static")
             name = self._qualified(allow_star=True)
             if not is_static:
                 imports.append(name)
             self._expect(";")
         types: list[TypeDecl] = []
-        while self._cur().kind != "eof":
+        while self.tags[self.pos] != EOF:
             if self._accept(";"):
                 continue
             types.extend(self._type_decl(package))
@@ -148,22 +159,21 @@ class _Parser:
     def _qualified(self, allow_star: bool = False) -> str:
         parts = [self._ident()]
         while self._at("."):
-            if allow_star and self._peek().text == "*":
-                self._advance()
-                self._advance()
+            if allow_star and self._peek() == "*":
+                self.pos += 2
                 parts.append("*")
                 break
-            if self._peek().kind != "ident":
+            if self._peek() != IDENT:
                 break
-            self._advance()
+            self.pos += 1
             parts.append(self._ident())
         return ".".join(parts)
 
     def _doc_at(self, tok_index: int) -> Optional[DocComment]:
-        for ci in reversed(self.lexed.comments_before[tok_index]):
-            comment = self.lexed.comments[ci]
-            if comment.is_doc:
-                return parse_doc_comment(comment.text)
+        comments = self.lexed.comments
+        for ci in reversed(self.lexed.comments_before(tok_index)):
+            if comments[ci].is_doc:
+                return parse_doc_comment(comments[ci].text)
         return None
 
     # ------------------------------------------------------------------
@@ -171,15 +181,16 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def _skip_modifiers(self) -> None:
+        tags = self.tags
         while True:
-            tok = self._cur()
-            if tok.kind == "kw" and tok.text in MODIFIERS:
+            tag = tags[self.pos]
+            if tag in MODIFIERS:
                 # `default:` inside a desugared switch is a label, not a modifier
-                if tok.text == "default" and self._peek().text == ":":
+                if tag == "default" and self._peek() == ":":
                     return
-                self._advance()
+                self.pos += 1
                 continue
-            if tok.text == "@" and self._peek().text != "interface":
+            if tag == "@" and self._peek() != "interface":
                 self._skip_annotation()
                 continue
             return
@@ -188,16 +199,17 @@ class _Parser:
         self._expect("@")
         self._qualified()
         if self._at("("):
+            tags = self.tags
             depth = 0
             while True:
-                tok = self._cur()
-                if tok.kind == "eof":
+                tag = tags[self.pos]
+                if tag == EOF:
                     raise self._error("unterminated annotation arguments")
-                if tok.text in ("(", "[", "{"):
+                if tag in ("(", "[", "{"):
                     depth += 1
-                elif tok.text in (")", "]", "}"):
+                elif tag in (")", "]", "}"):
                     depth -= 1
-                self._advance()
+                self.pos += 1
                 if depth == 0:
                     return
 
@@ -207,14 +219,15 @@ class _Parser:
         return self._type_decl_body(prefix, doc)
 
     def _type_decl_body(self, prefix: str, doc: Optional[DocComment]) -> list[TypeDecl]:
-        if self._at("enum"):
+        tags = self.tags
+        kind = tags[self.pos]
+        if kind == "enum":
             raise self._error("enum declarations are not supported")
-        if self._at("@"):
+        if kind == "@":
             raise self._error("annotation declarations are not supported")
-        if not (self._at("class") or self._at("interface")):
+        if kind != "class" and kind != "interface":
             raise self._error("expected a class or interface declaration")
-        kind_tok = self._advance()
-        kind = kind_tok.text
+        kind_at = self._advance()
         simple_name = self._ident()
         if self._at("<") and not self._skip_generics():
             raise self._error("malformed type parameters")
@@ -237,43 +250,43 @@ class _Parser:
         methods: list[MethodDecl] = []
         nested: list[TypeDecl] = []
         while not self._at("}"):
-            if self._cur().kind == "eof":
+            if tags[self.pos] == EOF:
                 raise self._error(f"unterminated body of {qualified}")
             if self._accept(";"):
                 continue
             member_doc = self._doc_at(self.pos)
             self._skip_modifiers()
-            if self._at("class") or self._at("interface") or self._at("enum"):
+            tag = tags[self.pos]
+            if tag == "class" or tag == "interface" or tag == "enum":
                 nested.extend(self._type_decl_body(qualified, member_doc))
                 continue
-            if self._at("{"):
+            if tag == "{":
                 self._block()  # initializer block, not part of any method
                 continue
-            if self._at("<") and not self._skip_generics():
+            if tag == "<" and not self._skip_generics():
                 raise self._error("malformed type parameters")
-            if (self._cur().kind == "ident" and self._cur().text == simple_name
-                    and self._peek().text == "("):
-                ctor_tok = self._advance()
+            at = self.pos
+            if (tags[at] == IDENT and self.texts[at] == simple_name
+                    and self._peek() == "("):
+                self.pos += 1
                 methods.append(self._method_rest(
-                    CONSTRUCTOR_NAME, ctor_tok.position(self.file), member_doc))
+                    CONSTRUCTOR_NAME, self._position(at), member_doc))
                 continue
-            rtype_tok = self._cur()
             self._return_type()
-            name_tok = self._cur()
+            name_at = self.pos
             mname = self._ident()
             if self._at("("):
                 methods.append(self._method_rest(
-                    mname, name_tok.position(self.file), member_doc))
+                    mname, self._position(name_at), member_doc))
             else:
-                self._field_rest(rtype_tok)
+                self._field_rest(self.texts[at])
         self._expect("}")
         decl = TypeDecl(qualified, kind, superclass, interfaces, methods, doc,
-                        kind_tok.position(self.file))
+                        self._position(kind_at))
         return [decl] + nested
 
     def _return_type(self) -> str:
-        if self._at("void"):
-            self._advance()
+        if self._accept("void"):
             return "void"
         return self._type_name()
 
@@ -311,12 +324,10 @@ class _Parser:
             type_name += "[]"
         return Param(name, type_name)
 
-    def _field_rest(self, type_tok: Token) -> None:
+    def _field_rest(self, type_hint: str) -> None:
         # fields are accepted but not modeled; initializers must still parse
-        type_hint = type_tok.text
         while True:
-            while self._at("["):
-                self._advance()
+            while self._accept("["):
                 self._expect("]")
             if self._accept("="):
                 self._array_init_or_expr(type_hint)
@@ -331,18 +342,19 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def _type_name(self) -> str:
-        tok = self._cur()
-        if tok.kind == "kw" and tok.text in PRIMITIVE_TYPES:
-            self._advance()
-            return tok.text + self._array_dims()
-        if tok.kind != "ident":
+        i = self.pos
+        tag = self.tags[i]
+        if tag in PRIMITIVE_TYPES:
+            self.pos = i + 1
+            return tag + self._array_dims()
+        if tag != IDENT:
             raise self._error(
-                f"expected type name, found {tok.text or 'end of file'!r}")
+                f"expected type name, found {self.texts[i] or 'end of file'!r}")
         parts = [self._ident()]
         if self._at("<"):
             self._skip_generics()
-        while self._at(".") and self._peek().kind == "ident":
-            self._advance()
+        while self._at(".") and self._peek() == IDENT:
+            self.pos += 1
             parts.append(self._ident())
             if self._at("<"):
                 self._skip_generics()
@@ -354,8 +366,8 @@ class _Parser:
         return self._type_name(), self._ident()
 
     def _at_type(self) -> bool:
-        tok = self._cur()
-        return tok.kind == "ident" or (tok.kind == "kw" and tok.text in PRIMITIVE_TYPES)
+        tag = self.tags[self.pos]
+        return tag == IDENT or tag in PRIMITIVE_TYPES
 
     def _declaration_ahead(self, follow: Optional[tuple[str, ...]]) -> bool:
         """Whether modifiers, a type and a name start here, the name followed
@@ -367,46 +379,40 @@ class _Parser:
         if self._at_type():
             self._type_name()
             nxt = self._peek()
-            found = self._cur().kind == "ident" and (
-                follow is None or nxt.text in follow
-                and (nxt.text != "[" or self._peek(2).text == "]"))
+            found = self.tags[self.pos] == IDENT and (
+                follow is None or nxt in follow
+                and (nxt != "[" or self._peek(2) == "]"))
         self.pos = start
         return found
 
     def _array_dims(self) -> str:
         dims = ""
-        while self._at("[") and self._peek().text == "]":
-            self._advance()
-            self._advance()
+        while self._at("[") and self._peek() == "]":
+            self.pos += 2
             dims += "[]"
         return dims
 
     def _skip_generics(self) -> bool:
         """Consume a balanced type-argument list, or restore and report False."""
+        tags = self.tags
         start = self.pos
-        self._advance()  # "<"
+        self.pos += 1  # "<"
         depth = 1
         while depth > 0:
-            tok = self._cur()
-            if tok.kind == "eof":
+            tag = tags[self.pos]
+            if tag == EOF:
                 self.pos = start
                 return False
-            if tok.kind == "ident":
-                self._advance()
+            if tag in _GENERIC_TAGS:
+                self.pos += 1
                 continue
-            if tok.kind == "kw" and tok.text in PRIMITIVE_TYPES | {"extends", "super"}:
-                self._advance()
-                continue
-            if tok.text in (",", ".", "?", "&", "[", "]", "@"):
-                self._advance()
-                continue
-            if tok.text == "<":
+            if tag == "<":
                 depth += 1
-            elif tok.text == ">":
+            elif tag == ">":
                 depth -= 1
-            elif tok.text == ">>":
+            elif tag == ">>":
                 depth -= 2
-            elif tok.text == ">>>":
+            elif tag == ">>>":
                 depth -= 3
             else:
                 self.pos = start
@@ -414,7 +420,7 @@ class _Parser:
             if depth < 0:
                 self.pos = start
                 return False
-            self._advance()
+            self.pos += 1
         return True
 
     # ------------------------------------------------------------------
@@ -422,90 +428,89 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def _block(self) -> Block:
-        open_tok = self._expect("{")
+        open_at = self._expect("{")
+        tags = self.tags
         statements: list[Statement] = []
-        while not self._at("}"):
-            if self._cur().kind == "eof":
+        while tags[self.pos] != "}":
+            if tags[self.pos] == EOF:
                 raise self._error("unterminated block")
             stmt = self._statement()
             if stmt is not None:
                 statements.append(stmt)
-        close_tok = self._expect("}")
-        block = Block(statements, open_tok.position(self.file),
-                      (open_tok.offset, close_tok.offset + 1))
+        close_at = self._expect("}")
+        block = Block(statements, self._position(open_at),
+                      (self.offsets[open_at], self.offsets[close_at] + 1))
         self.blocks.append(block)
         return block
 
     def _statement_required(self) -> Statement:
-        tok = self._cur()
+        at = self.pos
         stmt = self._statement()
         if stmt is None:
-            return Block([], tok.position(self.file),
-                         (tok.offset, tok.offset + 1))
+            offset = self.offsets[at]
+            return Block([], self._position(at), (offset, offset + 1))
         return stmt
 
     def _statement(self) -> Optional[Statement]:
-        tok = self._cur()
-        text = tok.text
-        if text == "{":
+        at = self.pos
+        tag = self.tags[at]
+        if tag == "{":
             return self._block()
-        if text == ";":
-            self._advance()
+        if tag == ";":
+            self.pos = at + 1
             return None
-        if tok.kind == "kw":
-            if text == "if":
+        if tag in KEYWORDS:
+            if tag == "if":
                 return self._if_statement()
-            if text == "while":
+            if tag == "while":
                 return self._while_statement()
-            if text == "do":
+            if tag == "do":
                 return self._do_statement()
-            if text == "for":
+            if tag == "for":
                 return self._for_statement()
-            if text == "return":
-                self._advance()
+            if tag == "return":
+                self.pos = at + 1
                 value = None if self._at(";") else self._expression()
                 self._expect(";")
-                return ReturnStmt(value, tok.position(self.file))
-            if text == "continue":
-                self._advance()
-                label = self._ident() if self._cur().kind == "ident" else None
+                return ReturnStmt(value, self._position(at))
+            if tag == "continue":
+                self.pos = at + 1
+                label = self._ident() if self._at(IDENT) else None
                 self._expect(";")
-                return ContinueStmt(label, tok.position(self.file))
-            if text == "break":
-                self._advance()
-                label = self._ident() if self._cur().kind == "ident" else None
+                return ContinueStmt(label, self._position(at))
+            if tag == "break":
+                self.pos = at + 1
+                label = self._ident() if self._at(IDENT) else None
                 self._expect(";")
-                return BreakStmt(label, tok.position(self.file))
-            if text == "throw":
-                self._advance()
+                return BreakStmt(label, self._position(at))
+            if tag == "throw":
+                self.pos = at + 1
                 thrown = self._expression()
                 self._expect(";")
-                return ThrowStmt(_as_thrown(thrown), tok.position(self.file))
-            if text == "try":
+                return ThrowStmt(_as_thrown(thrown), self._position(at))
+            if tag == "try":
                 return self._try_statement()
-            if text == "synchronized":
+            if tag == "synchronized":
                 return self._synchronized_statement()
-            if text == "switch":
+            if tag == "switch":
                 return self._switch_statement()
-            if text == "assert":
+            if tag == "assert":
                 return self._assert_statement()
-            if text in ("class", "interface", "enum"):
+            if tag in ("class", "interface", "enum"):
                 raise self._error("local type declarations are not supported")
         if self._declaration_ahead(_LOCAL_FOLLOW):
             return self._local_decl()
-        if text == "final":
+        if tag == "final":
             raise self._error("expected a declaration after 'final'")
-        if (tok.kind == "ident" and self._peek().text == ":"
-                and self._peek().kind == "punct"):
-            self._advance()
-            self._advance()
+        if tag == IDENT and self._peek() == ":":
+            self.pos = at + 2
             return self._statement()
         expr = self._expression()
         self._expect(";")
-        return ExprStmt(expr, tok.position(self.file))
+        return ExprStmt(expr, self._position(at))
 
     def _if_statement(self) -> IfStmt:
-        tok = self._advance()
+        at = self._advance()
         self._expect("(")
         condition = self._expression()
         self._expect(")")
@@ -513,46 +518,46 @@ class _Parser:
         else_branch = None
         if self._accept("else"):
             else_branch = self._statement_required()
-        return IfStmt(condition, then_branch, else_branch, tok.position(self.file))
+        return IfStmt(condition, then_branch, else_branch, self._position(at))
 
     def _while_statement(self) -> LoopStmt:
-        tok = self._advance()
+        at = self._advance()
         self._expect("(")
         condition = self._expression()
         self._expect(")")
         body = self._statement_required()
-        return LoopStmt("while", [], condition, [], body, tok.position(self.file))
+        return LoopStmt("while", [], condition, [], body, self._position(at))
 
     def _do_statement(self) -> LoopStmt:
-        tok = self._advance()
+        at = self._advance()
         body = self._statement_required()
         self._expect("while")
         self._expect("(")
         condition = self._expression()
         self._expect(")")
         self._expect(";")
-        return LoopStmt("do", [], condition, [], body, tok.position(self.file))
+        return LoopStmt("do", [], condition, [], body, self._position(at))
 
     def _for_statement(self) -> LoopStmt:
-        tok = self._advance()
+        at = self._advance()
         self._expect("(")
         if self._declaration_ahead((":",)):
             type_name, var_name = self._typed_name()
-            self._advance()  # ":"
+            self.pos += 1  # ":"
             iterable = self._expression()
             self._expect(")")
             body = self._statement_required()
-            var = LocalDecl([LocalVar(var_name, type_name)], tok.position(self.file))
+            var = LocalDecl([LocalVar(var_name, type_name)], self._position(at))
             return LoopStmt("foreach", [var], None, [iterable], body,
-                            tok.position(self.file))
+                            self._position(at))
         init: list[Statement] = []
         if self._declaration_ahead(_LOCAL_FOLLOW):
             init.append(self._local_decl())  # the declaration consumed the ';'
         elif not self._accept(";"):
-            pos = self._cur().position(self.file)
+            pos = self._position(self.pos)
             init.append(ExprStmt(self._expression(), pos))
             while self._accept(","):
-                pos = self._cur().position(self.file)
+                pos = self._position(self.pos)
                 init.append(ExprStmt(self._expression(), pos))
             self._expect(";")
         condition = None if self._at(";") else self._expression()
@@ -564,10 +569,10 @@ class _Parser:
                 update.append(self._expression())
         self._expect(")")
         body = self._statement_required()
-        return LoopStmt("for", init, condition, update, body, tok.position(self.file))
+        return LoopStmt("for", init, condition, update, body, self._position(at))
 
     def _try_statement(self) -> TryStmt:
-        tok = self._advance()
+        at = self._advance()
         resources: list[Statement] = []
         if self._accept("("):
             while not self._at(")"):
@@ -579,7 +584,7 @@ class _Parser:
         body.statements[:0] = resources
         catches: list[CatchClause] = []
         while self._at("catch"):
-            catch_tok = self._advance()
+            catch_at = self._advance()
             self._expect("(")
             self._skip_modifiers()
             caught = [self._type_name()]
@@ -589,50 +594,52 @@ class _Parser:
             self._expect(")")
             catch_body = self._block()
             catches.append(CatchClause(caught, variable, catch_body,
-                                       catch_tok.position(self.file)))
+                                       self._position(catch_at)))
         finally_block = None
         if self._accept("finally"):
             finally_block = self._block()
         if not catches and finally_block is None and not resources:
             raise ParseError("try statement has no catch, finally, or resources",
-                             tok.position(self.file))
-        return TryStmt(body, catches, finally_block, tok.position(self.file))
+                             self._position(at))
+        return TryStmt(body, catches, finally_block, self._position(at))
 
     def _resource(self) -> Statement:
-        start = self._cur()
+        at = self.pos
         if not self._declaration_ahead(("=",)):
-            return ExprStmt(self._expression(), start.position(self.file))
+            return ExprStmt(self._expression(), self._position(at))
         type_name, name = self._typed_name()
-        self._advance()  # "="
+        self.pos += 1  # "="
         value = self._expression()
         return LocalDecl([LocalVar(name, type_name, value)],
-                         start.position(self.file))
+                         self._position(at))
 
     def _synchronized_statement(self) -> Block:
-        tok = self._advance()
+        at = self._advance()
         self._expect("(")
-        lock_pos = self._cur().position(self.file)
+        lock_pos = self._position(self.pos)
         lock = self._expression()
         self._expect(")")
         body = self._block()
-        return Block([ExprStmt(lock, lock_pos), body], tok.position(self.file),
-                     (tok.offset, body.span[1]))
+        return Block([ExprStmt(lock, lock_pos), body], self._position(at),
+                     (self.offsets[at], body.span[1]))
 
     def _switch_statement(self) -> Block:
         # desugared to a block so selector and case bodies keep their calls
-        tok = self._advance()
+        at = self._advance()
         self._expect("(")
-        selector_pos = self._cur().position(self.file)
+        selector_pos = self._position(self.pos)
         selector = self._expression()
         self._expect(")")
         self._expect("{")
         statements: list[Statement] = [ExprStmt(selector, selector_pos)]
-        while not self._at("}"):
-            if self._cur().kind == "eof":
+        tags = self.tags
+        while tags[self.pos] != "}":
+            tag = tags[self.pos]
+            if tag == EOF:
                 raise self._error("unterminated switch body")
-            if self._at("case"):
+            if tag == "case":
                 # a label is no lambda: `case A -> f();` is a label and a body
-                self._advance()
+                self.pos += 1
                 self._conditional()
                 while self._accept(","):
                     self._conditional()
@@ -642,8 +649,8 @@ class _Parser:
                     if stmt is not None:
                         statements.append(stmt)
                 continue
-            if self._at("default"):
-                self._advance()
+            if tag == "default":
+                self.pos += 1
                 if not self._accept(":"):
                     self._expect("->")
                     stmt = self._statement()
@@ -653,25 +660,25 @@ class _Parser:
             stmt = self._statement()
             if stmt is not None:
                 statements.append(stmt)
-        close_tok = self._expect("}")
-        block = Block(statements, tok.position(self.file),
-                      (tok.offset, close_tok.offset + 1))
+        close_at = self._expect("}")
+        block = Block(statements, self._position(at),
+                      (self.offsets[at], self.offsets[close_at] + 1))
         self.blocks.append(block)
         return block
 
     def _assert_statement(self) -> Block:
-        tok = self._advance()
-        cond_pos = self._cur().position(self.file)
+        at = self._advance()
+        cond_pos = self._position(self.pos)
         statements: list[Statement] = [ExprStmt(self._expression(), cond_pos)]
         if self._accept(":"):
-            msg_pos = self._cur().position(self.file)
+            msg_pos = self._position(self.pos)
             statements.append(ExprStmt(self._expression(), msg_pos))
-        close_tok = self._expect(";")
-        return Block(statements, tok.position(self.file),
-                     (tok.offset, close_tok.offset + 1))
+        close_at = self._expect(";")
+        return Block(statements, self._position(at),
+                     (self.offsets[at], self.offsets[close_at] + 1))
 
     def _local_decl(self) -> LocalDecl:
-        start = self._cur()
+        at = self.pos
         type_name, name = self._typed_name()
         declarations: list[LocalVar] = []
         while True:
@@ -685,7 +692,7 @@ class _Parser:
             declarations.append(LocalVar(name, type_name + dims, initializer))
             if not self._accept(","):
                 self._expect(";")
-                return LocalDecl(declarations, start.position(self.file))
+                return LocalDecl(declarations, self._position(at))
             name = self._ident()
 
     def _array_init_or_expr(self, type_hint: str) -> Expr:
@@ -712,35 +719,37 @@ class _Parser:
         if lam is not None:
             return lam
         left = self._conditional()
-        tok = self._cur()
-        if tok.kind == "punct" and tok.text in _ASSIGN_OPS:
-            self._advance()
-            return Assignment(tok.text, left, self._expression())
+        tag = self.tags[self.pos]
+        if tag in _ASSIGN_OPS:
+            self.pos += 1
+            return Assignment(tag, left, self._expression())
         return left
 
     def _maybe_lambda(self) -> Optional[Lambda]:
-        tok = self._cur()
-        if tok.kind == "ident" and self._peek().text == "->":
-            self._advance()
-            self._advance()
-            return Lambda([tok.text], self._lambda_body())
-        if tok.text == "(" and tok.kind == "punct":
+        at = self.pos
+        tags = self.tags
+        tag = tags[at]
+        if tag == IDENT and self._peek() == "->":
+            self.pos = at + 2
+            return Lambda([self.texts[at]], self._lambda_body())
+        if tag == "(":
+            # the token after the matching `)`; no match is no lambda
             depth = 0
-            i = self.pos
+            i = at
             while True:
-                scan = self.toks[i]
-                if scan.kind == "eof":
+                tag = tags[i]
+                if tag == EOF:
                     return None
-                if scan.text == "(":
+                if tag == "(":
                     depth += 1
-                elif scan.text == ")":
+                elif tag == ")":
                     depth -= 1
                     if depth == 0:
                         break
                 i += 1
-            if self.toks[min(i + 1, len(self.toks) - 1)].text != "->":
+            if tags[min(i + 1, self.last)] != "->":
                 return None
-            self._advance()  # "("
+            self.pos = at + 1  # "("
             params: list[str] = []
             while not self._at(")"):
                 typed = self._declaration_ahead(None)
@@ -774,26 +783,27 @@ class _Parser:
         # type, so a tighter operator after it is not taken here.
         left = self._unary()
         max_level = len(_BINARY_LEVELS)
+        tags = self.tags
         while True:
-            tok = self._cur()
-            level = _BINARY_LEVEL.get(tok.text)
+            tag = tags[self.pos]
+            level = _BINARY_LEVEL.get(tag)
             if level is None or not min_level <= level <= max_level:
                 return left
-            self._advance()
+            self.pos += 1
             max_level = level
-            if tok.text == "instanceof":
+            if tag == "instanceof":
                 left = InstanceOf(left, self._type_name())
-                if self._cur().kind == "ident":
-                    self._ident()  # pattern variable, type already recorded
+                if tags[self.pos] == IDENT:
+                    self.pos += 1  # pattern variable, type already recorded
                 continue
-            left = Binary(tok.text, left, self._binary(level + 1))
+            left = Binary(tag, left, self._binary(level + 1))
 
     def _unary(self) -> Expr:
-        tok = self._cur()
-        if tok.kind == "punct" and tok.text in ("+", "-", "!", "~", "++", "--"):
-            self._advance()
-            return Unary(tok.text, self._unary())
-        if tok.text == "(":
+        tag = self.tags[self.pos]
+        if tag in _PREFIX_OPS:
+            self.pos += 1
+            return Unary(tag, self._unary())
+        if tag == "(":
             cast = self._try_cast()
             if cast is not None:
                 return cast
@@ -803,81 +813,75 @@ class _Parser:
         """A cast when `(` Type `)` and a token that can start its operand
         come next; otherwise None, with nothing consumed."""
         start = self.pos
-        self._advance()  # "("
+        self.pos += 1  # "("
         type_name = self._type_name() if self._at_type() else ""
         primitive = type_name in PRIMITIVE_TYPES
         nxt = self._peek()
         if type_name and self._at(")") and (
-                nxt.kind in ("ident", "int", "float", "char", "string")
-                or nxt.text in ("(", "!", "~")
-                or (nxt.kind == "kw"
-                    and nxt.text in ("this", "super", "new", "true", "false", "null"))
+                nxt in _CAST_OPERAND_STARTS
                 # (int) -x is a cast; (ref) -x would misread subtraction
-                or primitive and nxt.text in ("+", "-", "++", "--")) and (
+                or primitive and nxt in ("+", "-", "++", "--")) and (
                 # a single lowercase name in parens is far more likely a variable
                 primitive or "." in type_name or "[]" in type_name
                 or not type_name[0].islower()):
-            self._advance()  # ")"
+            self.pos += 1  # ")"
             return Cast(type_name, self._maybe_lambda() or self._unary())
         self.pos = start
         return None
 
     def _postfix(self, expr: Expr) -> Expr:
+        tags = self.tags
         while True:
-            tok = self._cur()
-            if tok.text == "." and tok.kind == "punct":
-                nxt = self._peek()
-                if nxt.text == "<":
-                    self._advance()
+            tag = tags[self.pos]
+            if tag == ".":
+                nxt_at = self.pos + 1
+                nxt = tags[nxt_at]
+                if nxt == "<":
+                    self.pos = nxt_at
                     if not self._skip_generics():
                         raise self._error("malformed type arguments")
-                    name_tok = self._cur()
+                    name_at = self.pos
                     name = self._ident()
                     expr = Invocation(expr, name, self._arguments(),
-                                      name_tok.position(self.file))
+                                      self._position(name_at))
                     continue
-                if nxt.kind == "ident":
-                    self._advance()
-                    name_tok = self._cur()
-                    name = self._ident()
-                    if self._at("("):
+                if nxt == IDENT:
+                    self.pos = nxt_at + 1
+                    name = self.texts[nxt_at]
+                    if tags[self.pos] == "(":
                         expr = Invocation(expr, name, self._arguments(),
-                                          name_tok.position(self.file))
+                                          self._position(nxt_at))
                     else:
                         expr = FieldAccess(expr, name)
                     continue
-                if nxt.kind == "kw" and nxt.text in ("this", "class", "super"):
-                    self._advance()
-                    self._advance()
-                    expr = FieldAccess(expr, nxt.text)
+                if nxt in ("this", "class", "super"):
+                    self.pos = nxt_at + 1
+                    expr = FieldAccess(expr, nxt)
                     continue
-                if nxt.kind == "kw" and nxt.text == "new":
-                    self._advance()
-                    new_tok = self._advance()
-                    expr = self._new_expression(new_tok)
+                if nxt == "new":
+                    self.pos = nxt_at + 1
+                    expr = self._new_expression(nxt_at)
                     continue
-                raise ParseError("expected member name",
-                                 nxt.position(self.file))
-            if tok.text == "[" and tok.kind == "punct":
-                self._advance()
+                raise ParseError("expected member name", self._position(nxt_at))
+            if tag == "[":
+                self.pos += 1
                 index = self._expression()
                 self._expect("]")
                 expr = ArrayAccess(expr, index)
                 continue
-            if tok.text == "::":
-                self._advance()
+            if tag == "::":
+                self.pos += 1
                 if self._at("<"):
                     self._skip_generics()
-                if self._at("new"):
-                    self._advance()
+                if self._accept("new"):
                     name = "new"
                 else:
                     name = self._ident()
                 expr = MethodRef(_render_chain(expr), name)
                 continue
-            if tok.kind == "punct" and tok.text in ("++", "--"):
-                self._advance()
-                expr = Unary("post" + tok.text, expr)
+            if tag == "++" or tag == "--":
+                self.pos += 1
+                expr = Unary("post" + tag, expr)
                 continue
             return expr
 
@@ -892,58 +896,52 @@ class _Parser:
         return args
 
     def _primary(self) -> Expr:
-        tok = self._cur()
-        if tok.kind in ("int", "float", "char", "string"):
-            self._advance()
-            return Literal(tok.text)
-        if tok.kind == "kw":
-            if tok.text in ("true", "false", "null"):
-                self._advance()
-                return Literal(tok.text)
-            if tok.text == "this":
-                self._advance()
-                if self._at("("):
-                    return Invocation(None, "this", self._arguments(),
-                                      tok.position(self.file))
-                return Name("this")
-            if tok.text == "super":
-                self._advance()
-                if self._at("("):
-                    return Invocation(None, "super", self._arguments(),
-                                      tok.position(self.file))
-                return Name("super")
-            if tok.text == "new":
-                self._advance()
-                return self._new_expression(tok)
-            if tok.text in PRIMITIVE_TYPES or tok.text == "void":
-                self._advance()
-                return Name(tok.text + self._array_dims())
-        if tok.kind == "ident":
-            self._advance()
+        at = self.pos
+        tag = self.tags[at]
+        if tag == IDENT:
+            self.pos = at + 1
             if self._at("("):
-                return Invocation(None, tok.text, self._arguments(),
-                                  tok.position(self.file))
-            return Name(tok.text)
-        if tok.text == "(":
-            self._advance()
+                return Invocation(None, self.texts[at], self._arguments(),
+                                  self._position(at))
+            return Name(self.texts[at])
+        if tag in LITERALS:
+            self.pos = at + 1
+            return Literal(self.texts[at])
+        if tag in KEYWORDS:
+            if tag in ("true", "false", "null"):
+                self.pos = at + 1
+                return Literal(tag)
+            if tag == "this" or tag == "super":
+                self.pos = at + 1
+                if self._at("("):
+                    return Invocation(None, tag, self._arguments(),
+                                      self._position(at))
+                return Name(tag)
+            if tag == "new":
+                self.pos = at + 1
+                return self._new_expression(at)
+            if tag in PRIMITIVE_TYPES or tag == "void":
+                self.pos = at + 1
+                return Name(tag + self._array_dims())
+        if tag == "(":
+            self.pos = at + 1
             expr = self._expression()
             self._expect(")")
             return expr
-        raise ParseError(
-            f"expected expression, found {tok.text or 'end of file'!r}",
-            tok.position(self.file))
+        raise self._error(
+            f"expected expression, found {self.texts[at] or 'end of file'!r}")
 
-    def _new_expression(self, new_tok: Token) -> Union[NewInstance, NewArray]:
-        tok = self._cur()
-        if tok.kind == "kw" and tok.text in PRIMITIVE_TYPES:
-            self._advance()
-            type_name = tok.text
+    def _new_expression(self, new_at: int) -> Union[NewInstance, NewArray]:
+        tag = self.tags[self.pos]
+        if tag in PRIMITIVE_TYPES:
+            self.pos += 1
+            type_name = tag
         else:
             parts = [self._ident()]
             if self._at("<"):
                 self._skip_generics()
-            while self._at(".") and self._peek().kind == "ident":
-                self._advance()
+            while self._at(".") and self._peek() == IDENT:
+                self.pos += 1
                 parts.append(self._ident())
                 if self._at("<"):
                     self._skip_generics()
@@ -962,16 +960,17 @@ class _Parser:
         anonymous = None
         if self._at("{"):
             anonymous = self._anonymous_body()
-        return NewInstance(type_name, arguments, new_tok.position(self.file),
+        return NewInstance(type_name, arguments, self._position(new_at),
                            anonymous)
 
     def _anonymous_body(self) -> Block:
         # method bodies of the anonymous class, hoisted into one block so
         # their statements attribute to the enclosing method
-        open_tok = self._expect("{")
+        open_at = self._expect("{")
+        tags = self.tags
         statements: list[Statement] = []
         while not self._at("}"):
-            if self._cur().kind == "eof":
+            if tags[self.pos] == EOF:
                 raise self._error("unterminated anonymous class body")
             if self._accept(";"):
                 continue
@@ -981,19 +980,19 @@ class _Parser:
                 continue
             if self._at("<") and not self._skip_generics():
                 raise self._error("malformed type parameters")
-            type_tok = self._cur()
+            type_at = self.pos
             self._return_type()
-            name_tok = self._cur()
+            name_at = self.pos
             name = self._ident()
             if self._at("("):
-                method = self._method_rest(name, name_tok.position(self.file), None)
+                method = self._method_rest(name, self._position(name_at), None)
                 if method.body is not None:
                     statements.append(method.body)
             else:
-                self._field_rest(type_tok)
-        close_tok = self._expect("}")
-        block = Block(statements, open_tok.position(self.file),
-                      (open_tok.offset, close_tok.offset + 1))
+                self._field_rest(self.texts[type_at])
+        close_at = self._expect("}")
+        block = Block(statements, self._position(open_at),
+                      (self.offsets[open_at], self.offsets[close_at] + 1))
         self.blocks.append(block)
         return block
 

@@ -1,7 +1,16 @@
+import gc
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
+from _corpus import generate_corpus, render_app, render_exceptions
+from _reference_lexer import tokenize as reference_tokenize
+from exflow.syntax import SourcePosition, parse_compilation_unit
 from exflow.syntax.errors import ParseError
 from exflow.syntax.lexer import tokenize
+
+TESTS = Path(__file__).parent
 
 
 def kinds_and_texts(source):
@@ -110,12 +119,12 @@ def test_comments_before_token_association():
     source = "a /* one */ /* two */ b"
     lexed = tokenize(source, "T.java")
     b_index = next(i for i, t in enumerate(lexed.tokens) if t.text == "b")
-    assert lexed.comments_before[b_index] == [0, 1]
+    assert list(lexed.comments_before(b_index)) == [0, 1]
 
 
 def test_trailing_comment_attaches_to_eof():
     lexed = tokenize("a // tail", "T.java")
-    assert lexed.comments_before[-1] == [0]
+    assert list(lexed.comments_before(len(lexed.tokens) - 1)) == [0]
 
 
 def test_unterminated_constructs_raise():
@@ -141,7 +150,7 @@ def test_unexpected_character_has_position():
 def positions(source):
     lexed = tokenize(source, "T.java")
     tokens = [(t.kind, t.text, t.line, t.column, t.offset,
-               list(lexed.comments_before[i]))
+               list(lexed.comments_before(i)))
               for i, t in enumerate(lexed.tokens)]
     comments = [(c.text, c.position.line, c.position.column)
                 for c in lexed.comments]
@@ -177,3 +186,124 @@ def positions(source):
         "comments-around-one-token"])
 def test_whitespace_and_comments_at_the_edges(source, tokens, comments):
     assert positions(source) == (tokens, comments)
+
+
+# -- text blocks and hexadecimal floating literals --------------------------
+
+def test_text_block_is_one_string_token():
+    source = 'String s = """\n  hi "there"\n  """; int n;'
+    lexed = tokenize(source, "T.java")
+    block = lexed.tokens[3]
+    assert (block.kind, block.text) == ("string", '"""\n  hi "there"\n  """')
+    after = lexed.tokens[4]
+    assert (after.text, after.line, after.column) == (";", 3, 6)
+    # an escaped quote, a lone one and a pair stay inside; the first three
+    # unescaped quotes close the block
+    assert kinds_and_texts('"""\n a \\""" b "" c " d\n"""x') == [
+        ("string", '"""\n a \\""" b "" c " d\n"""'), ("ident", "x")]
+
+
+def test_text_block_parses_as_one_literal():
+    unit = parse_compilation_unit(
+        'class T {\n  void m() {\n    String s = """\n      hi "there"\n'
+        '      """;\n    f(s);\n  }\n}\n', "T.java")
+    decl, call = unit.types[0].methods[0].body.statements
+    assert decl.declarations[0].initializer.text == (
+        '"""\n      hi "there"\n      """')
+    assert (call.position.line, call.position.column) == (6, 5)
+
+
+def test_unterminated_text_block_raises():
+    with pytest.raises(ParseError) as info:
+        tokenize('a\n  """\n never closed', "T.java")
+    assert str(info.value) == "T.java:2:3: unterminated text block"
+
+
+def test_hexadecimal_floating_literals():
+    assert kinds_and_texts("0x1.8p1 0x1p-3 0X.8P+2f 0x1.p0d 0x1F") == [
+        ("float", "0x1.8p1"), ("float", "0x1p-3"), ("float", "0X.8P+2f"),
+        ("float", "0x1.p0d"), ("int", "0x1F")]
+    unit = parse_compilation_unit(
+        "class T { double m() { return 0x1.8p1 + 0x1p-3; } }", "T.java")
+    returned = unit.types[0].methods[0].body.statements[0].value
+    assert (returned.left.text, returned.right.text) == ("0x1.8p1", "0x1p-3")
+
+
+# -- the token arrays against the token-tuple reference lexer ---------------
+
+def lexed_view(lexed):
+    """Tokens, comments, comment spans and the comment-to-token association
+    of the token arrays."""
+    tokens = [tuple(token) for token in lexed.tokens]
+    return (tokens, [(c.text, c.position, c.is_doc) for c in lexed.comments],
+            lexed.comment_spans,
+            [list(lexed.comments_before(i)) for i in range(len(tokens))])
+
+
+def reference_view(lexed):
+    return ([tuple(token) for token in lexed.tokens],
+            [(c.text, c.position, c.is_doc) for c in lexed.comments],
+            lexed.comment_spans, [list(ci) for ci in lexed.comments_before])
+
+
+def lexing(tokenizer, view, source):
+    try:
+        return view(tokenizer(source, "T.java"))
+    except ParseError as exc:
+        return exc.message, exc.position
+
+
+FIG1 = (TESTS / "data" / "fig1" / "Example.java").read_text()
+
+
+def mutants():
+    """fig1 with one broken or unusual line put before its first line, before
+    its middle line and after its last line, and an empty file."""
+    lines = FIG1.splitlines(keepends=True)
+    inserts = ['"open\n', "'x\n", "/* never closed\n", "\t\t#\n", "\f\t`\n",
+               "\f ½\n", 'String s = "a\\\nb";\n', "/**/ /***/\n",
+               "// no newline"]
+    for at in (0, len(lines) // 2, len(lines)):
+        for insert in inserts:
+            yield "".join(lines[:at] + [insert] + lines[at:])
+    yield ""
+
+
+REFERENCE_INPUTS = [
+    *(path.read_text() for path in sorted(TESTS.glob("**/*.java"))),
+    *(render(generate_corpus(seed, cyclic=bool(seed % 2)))
+      for seed in range(4) for render in (render_app, render_exceptions)),
+    *mutants(),
+]
+
+
+def test_token_arrays_match_the_reference_lexer():
+    raised = set()
+    for source in REFERENCE_INPUTS:
+        expected = lexing(reference_tokenize, reference_view, source)
+        assert lexing(tokenize, lexed_view, source) == expected, source
+        if isinstance(expected[1], SourcePosition):
+            raised.add(expected[0])
+    assert raised == {
+        "unterminated string literal", "unterminated character literal",
+        "unterminated block comment", "unexpected character '#'",
+        "unexpected character '`'", "unexpected character '½'"}
+
+
+# -- memory ----------------------------------------------------------------
+
+def test_token_arrays_take_at_most_48_bytes_a_token():
+    source = "".join(render_app(generate_corpus(seed, max_methods=200))
+                     for seed in range(4))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lexed = tokenize(source, "Gen.java")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(lexed.tokens) >= 10_000
+    # 143 bytes a token when each was a Token tuple
+    assert held <= 48 * len(lexed.tokens), held / len(lexed.tokens)

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import random
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -562,6 +564,67 @@ def test_parse_time_grows_linearly_with_file_size():
     small = best_parse_seconds(big_class(1000))
     large = best_parse_seconds(big_class(4000))
     assert large <= 8 * small, (small, large)
+
+
+# -- nesting depth under the default recursion limit -----------------------
+
+NESTINGS = {
+    "parentheses": lambda depth: (
+        "class D { int f() { return " + "(" * depth + "1" + ")" * depth
+        + "; } }"),
+    "if": lambda depth: (
+        "class D { void f() { " + "if (a) { " * depth + "}" * depth + " } }"),
+    "lambda": lambda depth: (
+        "class D { void f() { " + "Runnable r = () -> { " * depth
+        + "};" * depth + " } }"),
+    "block": lambda depth: (
+        "class D { void f() { " + "{ " * depth + "}" * depth + " } }"),
+}
+
+# the deepest of each nesting that the parser took when it read Token
+# tuples, measured by deepest_nesting on Python 3.11; moving the token
+# plumbing must not send shallower files to "nesting too deep"
+NESTING_FLOORS = {"parentheses": 196, "if": 196, "lambda": 140, "block": 492}
+
+
+def deepest_nesting():
+    """The deepest of each nesting that parses, each parse made as a
+    top-level parse is: at the bottom of a fresh thread's stack, under the
+    default recursion limit."""
+    def parses(source):
+        try:
+            parse(source)
+        except RecursionError:
+            return False
+        return True
+
+    def measure():
+        for kind, nest in NESTINGS.items():
+            low, high = 1, 2000
+            while low < high:
+                middle = (low + high + 1) // 2
+                if parses(nest(middle)):
+                    low = middle
+                else:
+                    high = middle - 1
+            depths[kind] = low
+
+    depths: dict[str, int] = {}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        thread = threading.Thread(target=measure)
+        thread.start()
+        thread.join()
+    finally:
+        sys.setrecursionlimit(limit)
+    return depths
+
+
+def test_nesting_is_parsed_as_deep_as_with_token_tuples():
+    depths = deepest_nesting()
+    assert all(depths[kind] >= floor
+               for kind, floor in NESTING_FLOORS.items()), depths
 
 
 # -- lookahead decisions: each choice is made once, before consuming -------
