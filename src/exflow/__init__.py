@@ -7,15 +7,14 @@ lint findings.
 """
 
 from .classify import (
-    Action, HandlerClassification, Strategy, classify_actions,
-    classify_strategy,
+    Action, Strategy, classify_actions, classify_strategy,
 )
 from .config import Config, ConfigError, load_config
 from .driver import AnalysisResult, analyze_project
 from .flow import (
-    CallSiteOrigin, EvidenceKind, LexicalThrowOrigin, MethodFact,
-    PossibleException, TryBlockAnalysis, analyze_try_block,
-    attribute_sources, compute_method_exception_sets, try_blocks,
+    CallSiteOrigin, Clause, EvidenceKind, LexicalThrowOrigin, MethodFact,
+    PossibleException, TryRegion, analyze_try_block, attribute_sources,
+    compute_method_exception_sets, try_blocks,
 )
 from .lint import LintFinding, lint
 from .model import (
@@ -24,7 +23,7 @@ from .model import (
     merge_platform_models, validate_platform_closure,
 )
 from .report import (
-    ProjectReport, TryBundle, aggregate_project, documentation_coverage,
+    ProjectReport, aggregate_project, documentation_coverage,
     emit_csv_tables, emit_report, report_from_json, report_to_json,
 )
 from .stats import StatResult, wilcoxon_rank_sum
@@ -36,10 +35,10 @@ __all__ = [
     "Action",
     "AnalysisResult",
     "CallSiteOrigin",
+    "Clause",
     "Config",
     "ConfigError",
     "EvidenceKind",
-    "HandlerClassification",
     "LexicalThrowOrigin",
     "LintFinding",
     "MethodFact",
@@ -53,8 +52,7 @@ __all__ = [
     "SemanticModel",
     "StatResult",
     "Strategy",
-    "TryBlockAnalysis",
-    "TryBundle",
+    "TryRegion",
     "Unresolved",
     "aggregate_project",
     "analyze_project",

@@ -4,15 +4,15 @@ A handled exception whose type exactly equals the matching caught type is
 handled by the Specific strategy; a strict supertype match is Subsumption.
 Actions describe what a catch body does with what it caught, as the union
 of twelve detectable behaviors. flow's lowering walks each catch body once
-and keeps what it does in a HandlerRecord; classify_actions maps the record
-and the configuration to actions.
+and keeps what it does in a HandlerRecord on the clause; classify_actions
+maps the record and the configuration to the clause's actions.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .config import Config
 from .model import MethodId, SemanticModel, dotted_name, method_id_str
@@ -39,12 +39,6 @@ class Action(enum.Enum):
     THROW_NEW = "ThrowNew"
     THROW_WRAP = "ThrowWrap"
     TODO = "Todo"
-
-
-@dataclass(slots=True)
-class HandlerClassification:
-    catch_id: str
-    actions: frozenset[Action]
 
 
 # (name, arity, dotted receiver or None, resolved callee or None)
@@ -77,16 +71,12 @@ def classify_strategy(fact_type: str, matched_type: str,
     return Strategy.SUBSUMPTION
 
 
-def classify_actions(handler: Union[HandlerRecord, CatchClause],
+def classify_actions(handler: HandlerRecord,
                      config: Optional[Config] = None) -> frozenset[Action]:
     """Every action the handler performs, read off its record; see the
-    module docstring for the taxonomy. A bare CatchClause is first walked
-    for its record (flow.handler_record). Detection is syntactic except
-    Abort, which prefers the callee that the lowering of the method stored
-    on the call."""
-    if isinstance(handler, CatchClause):
-        from .flow import handler_record  # flow imports this module
-        handler = handler_record(handler)
+    module docstring for the taxonomy. Detection is syntactic except Abort,
+    which prefers the callee that the lowering of the method resolved for
+    the call."""
     cfg = config if config is not None else Config()
     actions = set(handler.actions)
     abort_sigs = [_split_signature(s) for s in sorted(cfg.abort_signatures)]

@@ -7,13 +7,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .classify import HandlerClassification, classify_actions
+from .classify import classify_actions
 from .config import Config
 from .flow import (
-    MethodSets, analyze_try_block, compute_method_exception_sets, try_blocks,
+    MethodSets, TryRegion, analyze_try_block, compute_method_exception_sets,
+    try_blocks,
 )
 from .model import PlatformModel, SemanticModel, build_semantic_model
-from .report import ProjectReport, TryBundle, aggregate_project
+from .report import ProjectReport, aggregate_project
 from .syntax import CompilationUnit, ParseError, parse_compilation_unit
 from .syntax.errors import not_utf8
 
@@ -22,7 +23,8 @@ from .syntax.errors import not_utf8
 class AnalysisResult:
     model: SemanticModel
     method_sets: MethodSets
-    bundles: list[TryBundle]
+    # every try, partitioned and classified, in try_blocks order
+    bundles: list[TryRegion]
     report: ProjectReport
     diagnostics: list[str] = field(default_factory=list)
 
@@ -56,15 +58,18 @@ def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,
 
 
 def try_bundles(model: SemanticModel, sets: MethodSets,
-                config: Optional[Config] = None) -> list[TryBundle]:
-    """Partition every try statement of the model and classify the actions
-    of each of its handlers from the handler's record."""
-    return [TryBundle(region, analyze_try_block(region, sets, model, method),
-                      [HandlerClassification(
-                          clause.id, classify_actions(clause.handler, config))
-                       for clause in region.catches],
-                      method.unit)
-            for method, region in try_blocks(model)]
+                config: Optional[Config] = None) -> list[TryRegion]:
+    """Every try statement of the model, in try_blocks order, partitioned,
+    with the actions of each of its clauses classified from the clause's
+    handler record. The record is then let go, so the clauses of a model
+    are classified once."""
+    regions = []
+    for method, region in try_blocks(model):
+        regions.append(analyze_try_block(region, sets, model, method))
+        for clause in region.catches:
+            clause.actions = classify_actions(clause.handler, config)
+            clause.handler = None
+    return regions
 
 
 def _parse_file(path: Path) -> CompilationUnit:

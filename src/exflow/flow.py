@@ -9,9 +9,10 @@ type ids and the region of its body. Catch and finally bodies belong to
 the region around their try. The walk tracks the declared variables in
 scope and resolves each call as it reaches it, through
 SemanticModel.resolve_invocation, which keeps the callee on the call node.
-It also records what each catch body does (classify.HandlerRecord), for
-the action detectors. Then the body is let go: from there on the analysis
-reads only the summary, and no statement of the method stays in memory.
+It also records what each catch body does (classify.HandlerRecord) on the
+clause, until the driver has classified it into the clause's actions.
+Then the body is let go: from there on the analysis reads only the
+summary, and no statement of the method stays in memory.
 
 Per-method escaping sets are the least fixed point of
 
@@ -34,9 +35,9 @@ set, and a set changes only as types or evidence kinds are added.
 
 A try block's possible set is read off the same summary: the facts of its
 body's own sites plus what each try nested in it propagates, worked out
-bottom-up for all tries of a method at once. Only this partition builds a
-PossibleException per exception type and origin, as the reports list
-them.
+bottom-up for all tries of a method at once, and its partition is kept
+on the try's TryRegion. Only this partition builds a PossibleException
+per exception type and origin, as the reports list them.
 
 Evidence accumulates through call chains: a fact arriving at a try block
 carries every evidence kind observed anywhere along its paths, and facts
@@ -132,29 +133,18 @@ MethodSets = dict[MethodId, dict[str, MethodFact]]
 
 
 @dataclass(slots=True)
-class TryBlockAnalysis:
-    try_id: str
-    position: SourcePosition
-    possible: frozenset[PossibleException]
-    handled: dict[PossibleException, tuple["Clause", str, Strategy]]
-    propagated: frozenset[PossibleException]
-
-    @property
-    def distinct_method_count(self) -> dict[str, int]:
-        """Per exception type, the directly invoked methods contributing it."""
-        return {tid: n for tid, (n, _) in attribute_sources(self).items()}
-
-
-@dataclass(slots=True)
 class Clause:
-    """One catch clause as the analysis keeps it: the caught names as
-    written and as type ids (a name that is unknown or not in the model
-    matches nothing), and the record of what its handler does."""
+    """One catch clause as the analysis keeps it: its caught names resolved
+    to type ids (a name that resolves to nothing is left out), those of
+    them in the model (a fact can match only these), and what its handler
+    does: the record that the lowering keeps until the driver classifies
+    it into actions and lets it go."""
 
-    caught_types: list[str]
+    caught_types: tuple[str, ...]
     position: SourcePosition
     caught_ids: tuple[str, ...]
-    handler: HandlerRecord
+    handler: Optional[HandlerRecord]
+    actions: Optional[frozenset[Action]] = None
 
     @property
     def id(self) -> str:
@@ -164,19 +154,34 @@ class Clause:
 @dataclass(slots=True)
 class TryRegion:
     """One try statement as the analysis keeps it: its clauses, the union of
-    their caught ids, and the region of its body. analysis is the try's
-    partition under the converged fixed point, once analyze_try_block has
-    run for its method."""
+    their caught ids, the region of its body, and, once analyze_try_block
+    has run for its method, its partition under the converged fixed point.
+    handled maps each caught fact to its first matching clause, the caught
+    type matched and the strategy, in _fact_key order; propagated holds
+    the other facts that reach the body."""
 
     position: SourcePosition
     catches: tuple[Clause, ...]
     caught: frozenset[str]
     body: "Region"
-    analysis: Optional[TryBlockAnalysis] = None
+    handled: dict[PossibleException, tuple[Clause, str, Strategy]] = field(
+        default_factory=dict)
+    propagated: frozenset[PossibleException] = frozenset()
 
     @property
     def id(self) -> str:
         return str(self.position)
+
+    @property
+    def possible(self) -> frozenset[PossibleException]:
+        """Every fact reaching the body, handled or not; a new set on each
+        read."""
+        return self.propagated.union(self.handled)
+
+    @property
+    def distinct_method_count(self) -> dict[str, int]:
+        """Per exception type, the directly invoked methods contributing it."""
+        return {tid: n for tid, (n, _) in attribute_sources(self).items()}
 
 
 @dataclass(slots=True)
@@ -196,9 +201,9 @@ class MethodSummary:
 
     own: dict[str, frozenset[EvidenceKind]]  # declared and doc-tagged kinds
     body: Region
-    tries: dict[str, TryRegion]  # by try id
+    tries: list[TryRegion]  # in lowering order: a try before those it holds
     callees: set[MethodId] = field(default_factory=set)
-    # the method sets the tries' analyses were computed under
+    # the method sets the tries were partitioned under
     partitioned_under: Optional[MethodSets] = None
 
 
@@ -213,17 +218,10 @@ def try_blocks(model: SemanticModel) -> list[tuple[CorpusMethod, TryRegion]]:
     """Every try statement, as its TryRegion, with its enclosing method, in
     position order."""
     pairs = [(method, region) for method in model.corpus_methods()
-             for region in method_summary(model, method).tries.values()]
+             for region in method_summary(model, method).tries]
     pairs.sort(key=lambda pair: (pair[1].position.file, pair[1].position.line,
                                  pair[1].position.column))
     return pairs
-
-
-def handler_record(clause: CatchClause) -> HandlerRecord:
-    """The record of one clause's handler from a walk of the clause alone.
-    No call is resolved: each keeps the callee that a lowering of its
-    method stored on it, if any."""
-    return _ClauseWalk().catch_clause(clause, Scope(), Region()).handler
 
 
 def compute_method_exception_sets(model: SemanticModel, *,
@@ -260,32 +258,34 @@ def compute_method_exception_sets(model: SemanticModel, *,
 
 
 def analyze_try_block(t: TryRegion, sets: MethodSets, model: SemanticModel,
-                      method: CorpusMethod) -> TryBlockAnalysis:
+                      method: CorpusMethod) -> TryRegion:
     """Partition the try body's possible exceptions into handled (with the
-    first matching clause and its strategy) and propagated.
+    first matching clause and its strategy) and propagated, on t, a try
+    of method, and return t.
 
     sets is the converged fixed point. The first call for a method
-    partitions all of its tries, innermost first, and keeps each analysis
-    on the method summary; later calls with the same sets read it back."""
+    partitions all of its tries, innermost first; later calls with the
+    same sets find them partitioned."""
     summary = method_summary(model, method)
     if summary.partitioned_under is not sets:
         _partition_tries(summary, sets, model)
         summary.partitioned_under = sets
-    return summary.tries[t.id].analysis
+    return t
 
 
-def attribute_sources(analysis: TryBlockAnalysis, *, transitive: bool = False
+def attribute_sources(region: TryRegion, *, transitive: bool = False
                       ) -> dict[str, tuple[int, frozenset[EvidenceKind]]]:
     """Per exception type: how many distinct methods it traces back to and
     the union of its evidence kinds. Direct invocations of the try body by
     default; transitive counts every contributing method instead."""
+    possible = [*region.propagated, *region.handled]
     if transitive and any(f.origin_methods and not f.source_methods
-                          for f in analysis.possible):
-        raise ValueError(f"try block {analysis.try_id}: transitive counts "
+                          for f in possible):
+        raise ValueError(f"try block {region.id}: transitive counts "
                          "need method sets computed with transitive=True")
     pool = attrgetter("source_methods" if transitive else "origin_methods")
     by_type: dict[str, list[PossibleException]] = {}
-    for fact in analysis.possible:
+    for fact in possible:
         by_type.setdefault(fact.type, []).append(fact)
     return {tid: (len(frozenset().union(*map(pool, facts))),
                   frozenset().union(*map(_EVIDENCE, facts)))
@@ -330,7 +330,7 @@ def _lower(model: SemanticModel, method: CorpusMethod) -> MethodSummary:
         else:
             own[tid] = own.get(tid, frozenset()) | {kind}
 
-    summary = MethodSummary(own, Region(), {})
+    summary = MethodSummary(own, Region(), [])
     if decl.body is not None:
         params = Scope()
         for param in decl.params:
@@ -412,7 +412,7 @@ class _Lowering:
         self.note(Action.NESTED_TRY)
         inner = TryRegion(stmt.position, (), frozenset(), Region())
         region.tries.append(inner)
-        self.summary.tries[inner.id] = inner
+        self.summary.tries.append(inner)
         self.block(stmt.body, Scope(scope), inner.body)
         inner.catches = tuple(self.catch_clause(clause, scope, region)
                               for clause in stmt.catches)
@@ -424,15 +424,27 @@ class _Lowering:
     def catch_clause(self, clause: CatchClause, scope: Scope,
                      region: Region) -> Clause:
         """The clause with its caught names resolved, and its handler
-        recorded by a walk of its body with the clause open."""
-        caught_ids = self.caught_ids(clause)
+        recorded by a walk of its body with the clause open. A caught name
+        that is not a known exception is diagnosed."""
+        model = self.model
+        caught, caught_ids = [], []
+        for name in clause.caught_types:
+            tid = model.resolve_type_name(name, self.method.unit)
+            if tid is None or tid not in model.exception_universe:
+                model.diagnostics.append(
+                    f"{clause.position}: caught type {name} is not a known "
+                    f"exception; the clause matches nothing")
+            if tid is not None:
+                caught.append(tid)
+            if tid in model.types:
+                caught_ids.append(tid)
         catch_scope = Scope(scope)
         catch_scope.declare(clause.variable, clause.caught_types[0])
         actions, calls = opening_actions(clause), []
         self.handlers.append((clause.variable, actions, calls))
         self.block(clause.body, catch_scope, region)
         self.handlers.pop()
-        return Clause(clause.caught_types, clause.position, caught_ids,
+        return Clause(tuple(caught), clause.position, tuple(caught_ids),
                       HandlerRecord(frozenset(actions), tuple(calls)))
 
     def throw_statement(self, stmt: ThrowStmt, scope: Scope,
@@ -508,41 +520,6 @@ class _Lowering:
                 tid, LexicalThrowOrigin(stmt.position), _THROWN,
                 frozenset(), frozenset()))
 
-    def caught_ids(self, clause: CatchClause) -> tuple[str, ...]:
-        """The clause's caught names as type ids; a name that is not a
-        known exception is diagnosed, and one that is not in the model is
-        left out."""
-        model = self.model
-        ids = []
-        for name in clause.caught_types:
-            tid = model.resolve_type_name(name, self.method.unit)
-            if tid is None or tid not in model.exception_universe:
-                model.diagnostics.append(
-                    f"{clause.position}: caught type {name} is not a known "
-                    f"exception; the clause matches nothing")
-            if tid in model.types:
-                ids.append(tid)
-        return tuple(ids)
-
-
-class _ClauseWalk(_Lowering):
-    """The lowering's walk with no model, for handler_record: it resolves
-    no name and no call, and adds no site to a region."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        super().__init__(None, None, MethodSummary({}, Region(), {}))
-
-    def call(self, node, scope, region) -> None:
-        pass
-
-    def throw_site(self, stmt, region) -> None:
-        pass
-
-    def caught_ids(self, clause) -> tuple[str, ...]:
-        return ()
-
 
 def _evaluate_method(method: CorpusMethod, sets: MethodSets,
                      model: SemanticModel, transitive: bool
@@ -584,29 +561,23 @@ def _site_facts(region: Region, sets: MethodSets
 
 def _partition_tries(summary: MethodSummary, sets: MethodSets,
                      model: SemanticModel) -> None:
-    """Analyze every try of the method bottom-up: the facts reaching a try
+    """Partition every try of the method bottom-up: the facts reaching a try
     body are its own sites' facts plus what each try nested in it
     propagates, so each site's facts are built once per method."""
-    order: list[TryRegion] = []
-    stack = list(summary.body.tries)
-    while stack:
-        region = stack.pop()
-        order.append(region)
-        stack.extend(region.body.tries)
-    for region in reversed(order):  # every try after the tries it holds
+    for region in reversed(summary.tries):  # every try after those it holds
         # two sites with one origin call one callee and yield equal facts,
         # which the set keeps once
         possible = frozenset(_site_facts(region.body, sets))
         if region.body.tries:
-            possible = possible.union(*(inner.analysis.propagated
+            possible = possible.union(*(inner.propagated
                                         for inner in region.body.tries))
-        region.analysis = _partition(region, possible, model)
+        _partition(region, possible, model)
 
 
 def _partition(region: TryRegion, possible: frozenset[PossibleException],
-               model: SemanticModel) -> TryBlockAnalysis:
-    """Split the facts by the first clause that catches their type; handled
-    keeps the order of _fact_key."""
+               model: SemanticModel) -> None:
+    """Split the facts by the first clause that catches their type, onto
+    the region; handled keeps the order of _fact_key."""
     outcome: dict[str, Optional[tuple[Clause, str, Strategy]]] = {}
     caught = []
     for fact in possible:
@@ -621,10 +592,9 @@ def _partition(region: TryRegion, possible: frozenset[PossibleException],
         if outcome[tid] is not None:
             caught.append(fact)
     caught.sort(key=_fact_key)
-    handled = {fact: outcome[fact.type] for fact in caught}
-    propagated = possible.difference(handled) if handled else possible
-    return TryBlockAnalysis(region.id, region.position, possible, handled,
-                            propagated)
+    region.handled = {fact: outcome[fact.type] for fact in caught}
+    region.propagated = (possible.difference(region.handled)
+                         if caught else possible)
 
 
 def _merge_method_fact(facts: dict[str, MethodFact], tid: str,

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .config import Config
 from .model import Recoverability, SemanticModel
-from .report import TryBundle, _Memo
+from .flow import TryRegion
+from .report import _Memo
 from .syntax.ast import SourcePosition
 
 RULE_RECOVERABLE_PROPAGATED = "RecoverablePropagated"
@@ -34,22 +35,20 @@ class LintFinding:
         return f"{self.position}: {self.rule}: {self.message}"
 
 
-def lint(bundles: list[TryBundle], config: Config,
+def lint(regions: list[TryRegion], config: Config,
          model: SemanticModel) -> list[LintFinding]:
     findings: list[LintFinding] = []
     recoverable = _Memo(lambda tid: model.recoverability_of(tid)
                         is Recoverability.POTENTIALLY_RECOVERABLE)
-    for bundle in bundles:
-        analysis = bundle.analysis
-        types = {f.type for f in analysis.propagated}
+    for region in regions:
+        types = {f.type for f in region.propagated}
         for tid in sorted(t for t in types if recoverable[t]):
             findings.append(LintFinding(
-                RULE_RECOVERABLE_PROPAGATED, analysis.position, tid,
+                RULE_RECOVERABLE_PROPAGATED, region.position, tid,
                 f"potentially recoverable {tid} propagates unhandled "
                 f"from this try block"))
-        for clause in bundle.stmt.catches:
-            for name in clause.caught_types:
-                caught = model.resolve_type_name(name, bundle.unit)
+        for clause in region.catches:
+            for caught in clause.caught_types:
                 if caught in config.generic_catch_types:
                     findings.append(LintFinding(
                         RULE_CATCH_GENERIC, clause.position, caught,

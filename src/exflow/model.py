@@ -230,9 +230,8 @@ def validate_platform_closure(platform: PlatformModel,
 @dataclass(slots=True)
 class TypeEntry:
     id: str
-    origin: str  # "corpus" | "platform"
     superclass: Optional[str]  # resolved type id
-    platform: Optional[PlatformType] = None
+    platform: Optional[PlatformType] = None  # None for a corpus type
 
 
 @dataclass(slots=True)
@@ -443,8 +442,8 @@ def build_semantic_model(units: list[CompilationUnit],
     model = SemanticModel()
 
     for ptype in platform.types.values():
-        model.types[ptype.name] = TypeEntry(ptype.name, "platform",
-                                            ptype.superclass, platform=ptype)
+        model.types[ptype.name] = TypeEntry(ptype.name, ptype.superclass,
+                                            platform=ptype)
 
     decl_units: dict[str, CompilationUnit] = {}
     for unit in units:
@@ -458,7 +457,7 @@ def build_semantic_model(units: list[CompilationUnit],
                     f"type {decl.name} in {unit.file} collides with a "
                     f"platform-model type")
             decl_units[decl.name] = unit
-            model.types[decl.name] = TypeEntry(decl.name, "corpus", None)
+            model.types[decl.name] = TypeEntry(decl.name, None)
 
     for method in platform.methods.values():
         model._method_owners.add(method.id[0])
@@ -515,7 +514,7 @@ def build_semantic_model(units: list[CompilationUnit],
 
     universe = set(platform.types)
     for tid, entry in model.types.items():
-        if entry.origin == "corpus" and model.kind_of(tid) is not None:
+        if entry.platform is None and model.kind_of(tid) is not None:
             universe.add(tid)
     model.exception_universe = frozenset(universe)
     return model

@@ -15,17 +15,15 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import ExitStack, contextmanager
+from itertools import chain
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Optional, TextIO, Union
 
-from .classify import HandlerClassification, Strategy
-from .flow import (
-    EvidenceKind, TryBlockAnalysis, TryRegion, attribute_sources,
-)
+from .classify import Strategy
+from .flow import EvidenceKind, TryRegion, attribute_sources
 from .model import Recoverability, SemanticModel
-from .syntax.ast import CompilationUnit
 
 DIVERSITY_BUCKETS = ("1", "2", "3", "4", "5", ">5")
 
@@ -99,30 +97,22 @@ class CoverageSummary:
     overlaps: dict[str, int] = field(default_factory=dict)  # "KindA&KindB"
 
 
-@dataclass(slots=True)
-class TryBundle:
-    """One analyzed try statement plus its handler classifications."""
-    stmt: TryRegion
-    analysis: TryBlockAnalysis
-    handlers: list[HandlerClassification]
-    unit: Optional[CompilationUnit] = None
-
-
-def aggregate_project(bundles: list[TryBundle], model: SemanticModel,
+def aggregate_project(regions: list[TryRegion], model: SemanticModel,
                       name: str, *, transitive: bool = False) -> ProjectReport:
-    """Reduce per-try analyses into the project report. One pass over the
-    bundles counts the totals and the diversity; the rows are built from
-    the bundles, in (file, line, try_id) order, each time they are read."""
-    appearances = Counter(t for bundle in bundles
-                          for t in {f.type for f in bundle.analysis.possible})
+    """Reduce partitioned and classified tries into the project report. One
+    pass over the tries counts the totals and the diversity; the rows are
+    built from the tries, in (file, line, try_id) order, each time they
+    are read."""
+    appearances = Counter(t for region in regions for t in {
+        f.type for f in chain(region.propagated, region.handled)})
     buckets = {b: 0 for b in DIVERSITY_BUCKETS}
     for count in appearances.values():
         buckets[str(count) if count <= 5 else ">5"] += 1
     total_types = len(appearances)
     fractions = {b: (buckets[b] / total_types if total_types else 0.0)
                  for b in DIVERSITY_BUCKETS}
-    totals = Totals(try_blocks=len(bundles),
-                    catch_clauses=sum(len(b.stmt.catches) for b in bundles),
+    totals = Totals(try_blocks=len(regions),
+                    catch_clauses=sum(len(r.catches) for r in regions),
                     methods=len(model.corpus_methods()),
                     distinct_exception_types=total_types)
     # rows share one label list per evidence set; nothing mutates a row
@@ -130,58 +120,57 @@ def aggregate_project(bundles: list[TryBundle], model: SemanticModel,
     recoverable = _Memo(lambda tid: model.recoverability_of(tid)
                         is Recoverability.POTENTIALLY_RECOVERABLE)
 
-    def row(bundle: TryBundle) -> TryRow:
-        analysis = bundle.analysis
+    def row(region: TryRegion) -> TryRow:
         # handled and propagated are disjoint and together make up possible
         facts = [FactRow(f.type, f.origin.label, labels[f.evidence], False)
-                 for f in analysis.propagated]
+                 for f in region.propagated]
         strategy_by_type = dict.fromkeys((r.type for r in facts),
                                          PROPAGATED_LABEL)
         propagated = len(strategy_by_type)
         propagated_recoverable = sum(recoverable[t] for t in strategy_by_type)
-        for fact, (_clause, _matched, strategy) in analysis.handled.items():
+        for fact, (_clause, _matched, strategy) in region.handled.items():
             facts.append(FactRow(fact.type, fact.origin.label,
                                  labels[fact.evidence], True))
             strategy_by_type[fact.type] = STRATEGY_LABELS[strategy]
         facts.sort(key=lambda r: (r.type, r.origin))
-        attribution = attribute_sources(analysis, transitive=transitive)
+        attribution = attribute_sources(region, transitive=transitive)
         exceptions = [
             TypeAttribution(t, attribution[t][0], labels[attribution[t][1]],
                             strategy_by_type[t])
             for t in sorted(strategy_by_type)]
-        handlers = [HandlerRow(h.catch_id, sorted(a.value for a in h.actions))
-                    for h in bundle.handlers]
+        handlers = [HandlerRow(c.id, sorted(a.value for a in c.actions))
+                    for c in region.catches]
         return TryRow(
-            analysis.try_id, analysis.position.file, analysis.position.line,
+            region.id, region.position.file, region.position.line,
             total=len(strategy_by_type), propagated=propagated,
             propagated_recoverable=propagated_recoverable,
             exceptions=exceptions, facts=facts, handlers=handlers)
 
-    ordered = sorted(bundles, key=lambda b: (b.analysis.position.file,
-                     b.analysis.position.line, b.analysis.try_id))
+    ordered = sorted(regions, key=lambda r: (r.position.file,
+                                             r.position.line, r.id))
     return ProjectReport(name, totals, _TryRows(ordered, row),
                          Diversity(total_types, fractions))
 
 
 class _TryRows(Sequence):
-    """The rows of aggregated bundles: a sequence that builds the row of a
-    bundle from it whenever the row is read, and keeps none of them."""
-    __slots__ = ("_bundles", "_row")
+    """The rows of aggregated tries: a sequence that builds the row of a
+    try from it whenever the row is read, and keeps none of them."""
+    __slots__ = ("_regions", "_row")
 
-    def __init__(self, bundles: list[TryBundle], row: Callable):
-        self._bundles = bundles
+    def __init__(self, regions: list[TryRegion], row: Callable):
+        self._regions = regions
         self._row = row
 
     def __len__(self) -> int:
-        return len(self._bundles)
+        return len(self._regions)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(map(self._row, self._bundles[index]))
-        return self._row(self._bundles[index])
+            return list(map(self._row, self._regions[index]))
+        return self._row(self._regions[index])
 
     def __iter__(self) -> Iterator[TryRow]:
-        return map(self._row, self._bundles)
+        return map(self._row, self._regions)
 
     def __eq__(self, other):  # and so unhashable, as a list is
         return (list(self) == list(other) if isinstance(other, Sequence)

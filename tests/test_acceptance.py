@@ -28,10 +28,11 @@ from exflow.report import aggregate_project
 from exflow.stats import wilcoxon_rank_sum
 from exflow.syntax import parse_compilation_unit
 
+from _clauses import lowered_clause
 from _corpus import (
     build_corpus_model, generate_corpus, iter_tries, method_mid,
     namespace_source, oracle_acyclic, oracle_cyclic, oracle_try_possible,
-    platform_document_multi, try_statements_in,
+    platform_document_multi,
 )
 
 IOE = "java.io.IOException"
@@ -82,8 +83,7 @@ def test_criterion_01_figure_one_golden(fig1_dir, jre_mini):
     result = analyze_project(fig1_dir, jre_mini)
     elapsed = time.perf_counter() - start
 
-    (bundle,) = result.bundles
-    analysis = bundle.analysis
+    (analysis,) = result.bundles
     by_type = {f.type: f for f in analysis.possible}
     assert set(by_type) == {IOE, IPE}
 
@@ -168,8 +168,7 @@ def test_criterion_04_partition_and_stacking(fig1_result):
             continue
         model, sets = build_corpus_model(corpus)
         bundles = try_bundles(model, sets)
-        for bundle in bundles:
-            analysis = bundle.analysis
+        for analysis in bundles:
             handled = set(analysis.handled)
             propagated = set(analysis.propagated)
             assert handled | propagated == set(analysis.possible)
@@ -200,9 +199,7 @@ def _handler_actions(body: str) -> frozenset:
         "  }\n"
         "  void recover() {}\n"
         "}\n")
-    unit = parse_compilation_unit(source, "A.java")
-    stmt = next(try_statements_in(unit.types[0].methods[0].body.statements))
-    return classify_actions(stmt.catches[0])
+    return classify_actions(lowered_clause(source).handler)
 
 
 def test_criterion_05_action_fixtures():

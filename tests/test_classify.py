@@ -9,14 +9,12 @@ from exflow.classify import (
     classify_strategy,
 )
 from exflow.config import config_from_dict
-from exflow.flow import (
-    EvidenceKind, LexicalThrowOrigin, PossibleException, try_blocks,
-)
+from exflow.flow import EvidenceKind, LexicalThrowOrigin, PossibleException
 from exflow.model import build_semantic_model, parse_platform_document
-from exflow.syntax import parse_compilation_unit
 from exflow.syntax.ast import SourcePosition
 
-from _corpus import partition_recoverability, try_statements_in
+from _clauses import lowered_clause
+from _corpus import partition_recoverability
 
 IOE = "java.io.IOException"
 RTE = "java.lang.RuntimeException"
@@ -63,15 +61,12 @@ def clause_of(handler_body, catch_type="Exception", extra=""):
         "  void g() {}\n"
         "  " + extra + "\n"
         "}\n")
-    unit = parse_compilation_unit(source, "A.java")
-    stmt = next(try_statements_in(unit.types[0].methods[0].body.statements))
-    return unit, stmt.catches[0]
+    return lowered_clause(source, tiny_platform())
 
 
 def actions_of(handler_body, **kwargs):
     config = kwargs.pop("config", None)
-    _, clause = clause_of(handler_body, **kwargs)
-    return classify_actions(clause, config)
+    return classify_actions(clause_of(handler_body, **kwargs).handler, config)
 
 
 # -- strategy and recoverability --------------------------------------------
@@ -213,14 +208,13 @@ def test_statements_inside_nested_try_still_detected():
 
 
 def test_abort_via_resolved_signature():
-    unit, clause = clause_of("die();", extra="void die() {}")
-    model = build_semantic_model([unit], tiny_platform())
     config = config_from_dict({"abort_signatures": ["app.A#die(0)"]})
-    # before the body is lowered no callee is stored, and only
+    # a call that resolves to no method has no callee, and only
     # receiver-based matching applies
-    assert classify_actions(clause, config) == {Action.METHOD}
-    try_blocks(model)
-    assert classify_actions(clause, config) == {Action.ABORT}
+    unresolved = clause_of("die();")
+    assert classify_actions(unresolved.handler, config) == {Action.METHOD}
+    resolved = clause_of("die();", extra="void die() {}")
+    assert classify_actions(resolved.handler, config) == {Action.ABORT}
 
 
 def test_log_names_follow_config():

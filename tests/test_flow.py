@@ -658,7 +658,8 @@ def walked_partition(model, sets, method, stmt):
     """The partition of one try from a walk of its own body that shares no
     work with any other try: _reaching over the body region, then the
     first matching clause per fact in _fact_key order."""
-    region = flow.method_summary(model, method).tries[stmt.id]
+    (region,) = [t for t in flow.method_summary(model, method).tries
+                 if t.position == stmt.position]
     possible = frozenset(_reaching(region.body, sets, model.ancestors).values())
     handled = {}
     for fact in sorted(possible, key=flow._fact_key):

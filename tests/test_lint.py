@@ -1,5 +1,8 @@
 """Lint rules on analyzed projects."""
 
+import json
+
+from exflow.cli import main
 from exflow.config import Config, config_from_dict
 from exflow.driver import analyze_project
 from exflow.lint import (
@@ -127,3 +130,39 @@ def test_render_format(fig1_result):
     rendered = finding.render()
     assert rendered.startswith(str(finding.position))
     assert f": {finding.rule}: " in rendered
+
+
+def test_catch_generic_on_a_type_known_only_as_a_method_owner(tmp_path,
+                                                              capsys):
+    # java.lang.Exception owns a platform method but has no type entry: the
+    # clause is diagnosed as matching nothing, yet it catches a generic type
+    platform = tmp_path / "platform.json"
+    platform.write_text(json.dumps({
+        "types": [
+            {"name": "java.lang.Throwable", "superclass": None,
+             "kind": "checked"},
+            {"name": "java.lang.RuntimeException",
+             "superclass": "java.lang.Throwable", "kind": "unchecked"},
+        ],
+        "methods": [{"signature": "java.lang.Exception#getMessage(0)",
+                     "throws": []}],
+    }))
+    project = tmp_path / "p"
+    project.mkdir()
+    (project / "L.java").write_text(
+        "package p;\n"
+        "class L {\n"
+        "  void f() {\n"
+        "    try { g(); } catch (Exception e) {}\n"
+        "  }\n"
+        "  void g() {}\n"
+        "}\n")
+    code = main(["lint", "--project", str(project),
+                 "--platform", str(platform)])
+    out, err = capsys.readouterr()
+    clause = f"{project / 'L.java'}:4:18"
+    assert code == 0
+    assert err == (f"{clause}: caught type Exception is not a known "
+                   f"exception; the clause matches nothing\n")
+    assert out == (f"{clause}: CatchGeneric: clause catches the generic "
+                   f"type java.lang.Exception\n")

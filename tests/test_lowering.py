@@ -3,7 +3,7 @@
 The lowering is the last reader of a method body: it records what each
 catch body does as it walks it, so classifying a handler walks nothing,
 and once a method is lowered no statement of it is reachable from the
-analysis.
+analysis. Once a clause is classified, its handler record goes too.
 """
 
 import gc
@@ -13,17 +13,17 @@ import pytest
 
 from _corpus import generate_corpus, platform_document_multi, render_app
 from exflow import driver, flow
-from exflow.classify import classify_actions
+from exflow.classify import HandlerRecord
 from exflow.config import Config, config_from_dict
 from exflow.driver import analyze_project
 from exflow.model import parse_platform_document
-from exflow.syntax import ast, parse_compilation_unit
+from exflow.syntax import ast
 from exflow.syntax import walk
 
 HANDLERS_DIR = Path(__file__).parent / "data" / "handlers"
 
 # an extra log name and an abort signature that the fixtures call through
-# a receiver, so a bare clause, whose calls are not resolved, matches it too
+# a receiver
 CONFIG = config_from_dict({
     "log_method_names": ["warn", "shout"],
     "abort_signatures": ["java.lang.System#exit(1)",
@@ -52,24 +52,6 @@ def tree(name, tmp_path, fig1_dir, jre_mini):
     return tmp_path, platform
 
 
-def fresh_clauses(project):
-    """Every catch clause of a fresh parse of the project, by id."""
-    clauses = {}
-    for path in sorted(Path(project).rglob("*.java")):
-        unit = parse_compilation_unit(path.read_text(), str(path))
-        stack = [m.body for t in unit.types for m in t.methods
-                 if m.body is not None]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.CatchClause):
-                clauses[node.id] = node
-            for value in (getattr(node, f) for f in node.__slots__):
-                for item in (value if isinstance(value, list) else [value]):
-                    if isinstance(item, BODY_NODES):
-                        stack.append(item)
-    return clauses
-
-
 def reachable(root):
     """Every object reachable from root through containers and exflow
     objects; types, modules and functions are not followed."""
@@ -88,27 +70,12 @@ def reachable(root):
     return seen.values()
 
 
-@pytest.mark.parametrize("name", ["fig1", "cyclic", "handlers"])
-def test_actions_are_the_same_by_both_paths(name, tmp_path, fig1_dir,
-                                            jre_mini):
-    # analyze_project classifies the record the lowering kept; a bare
-    # clause is walked for its record on its own
-    project, platform = tree(name, tmp_path, fig1_dir, jre_mini)
-    result = analyze_project(project, platform, CONFIG)
-    clauses = fresh_clauses(project)
-    handlers = [h for bundle in result.bundles for h in bundle.handlers]
-    assert handlers and len(handlers) == len(clauses)
-    for handler in handlers:
-        assert handler.actions == classify_actions(
-            clauses[handler.catch_id], CONFIG), handler.catch_id
-
-
 def test_handler_fixture_actions(jre_mini):
     # nested tries, lambdas and anonymous classes inside handlers count,
     # and nothing under a throw does
     result = analyze_project(HANDLERS_DIR, jre_mini, CONFIG)
-    actions = {h.catch_id.rsplit(":", 2)[1]: sorted(a.value for a in h.actions)
-               for bundle in result.bundles for h in bundle.handlers}
+    actions = {c.id.rsplit(":", 2)[1]: sorted(a.value for a in c.actions)
+               for region in result.bundles for c in region.catches}
     assert actions == {
         "21": ["Abort", "Log", "Method", "NestedTry", "ThrowWrap"],
         "25": ["Log", "ThrowNew"],
@@ -165,9 +132,10 @@ def test_no_statement_reachable_after_analysis(name, transitive, tmp_path,
                              Config(transitive_origins=transitive))
     objects = list(reachable(result))
     assert any(isinstance(obj, flow.TryRegion) for obj in objects)
+    assert any(isinstance(obj, flow.Clause) for obj in objects)
     assert any(isinstance(obj, ast.MethodDecl) for obj in objects)
     kept = sorted({type(obj).__name__ for obj in objects
-                   if isinstance(obj, BODY_NODES)})
+                   if isinstance(obj, (*BODY_NODES, HandlerRecord))})
     assert kept == []
 
 

@@ -256,7 +256,7 @@ def test_types_and_methods_registered():
         "package app;\n"
         "class A { void m() {} void m(int x) {} }\n"
     ], platform())
-    assert model.types["app.A"].origin == "corpus"
+    assert model.types["app.A"].platform is None
     assert ("app.A", "m", 0) in model.method_table
     assert ("app.A", "m", 1) in model.method_table
 

@@ -8,12 +8,11 @@ from exflow.driver import try_bundles
 from exflow.flow import analyze_try_block, try_blocks
 from exflow.report import aggregate_project, report_to_json
 from exflow.stats import wilcoxon_rank_sum
-from exflow.syntax import parse_compilation_unit
 from exflow.syntax.javadoc import extract_doc_throws
 
+from _clauses import lowered_clause
 from _corpus import (
     build_corpus_model, generate_corpus, iter_tries, partition_recoverability,
-    try_statements_in,
 )
 
 # -- doc-comment extraction --------------------------------------------------
@@ -183,9 +182,7 @@ def actions_for(statements):
         "  }\n"
         "  void recover() {}\n"
         "}\n")
-    unit = parse_compilation_unit(source, "A.java")
-    stmt = next(try_statements_in(unit.types[0].methods[0].body.statements))
-    return classify_actions(stmt.catches[0])
+    return classify_actions(lowered_clause(source).handler)
 
 
 @given(st.lists(st.sampled_from(ACTION_POOL), min_size=1, max_size=4),

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from exflow import classify, flow, model, report
+from exflow import flow, model, report
 from exflow.lint import LintFinding
 from exflow.syntax import ast
 
@@ -13,16 +13,15 @@ TREE = [cls for cls in vars(ast).values()
         if dataclasses.is_dataclass(cls) and cls.__module__ == ast.__name__]
 SLOTTED = [
     *TREE,
-    flow.PossibleException, flow.MethodFact, flow.TryBlockAnalysis,
-    flow.TryRegion, flow.Region, flow.MethodSummary,
+    flow.PossibleException, flow.MethodFact, flow.Clause, flow.TryRegion,
+    flow.Region, flow.MethodSummary,
     model.PlatformType, model.PlatformMethod, model.PlatformModel,
     model.TypeEntry, model.CorpusMethod, model.ExternalMethod,
     model.Unresolved,
-    classify.HandlerClassification,
     LintFinding,
     report.TypeAttribution, report.FactRow, report.HandlerRow,
     report.TryRow, report.Totals, report.Diversity, report.ProjectReport,
-    report.CoverageSummary, report.TryBundle,
+    report.CoverageSummary,
 ]
 
 
@@ -37,13 +36,15 @@ def test_class_defines_slots(cls):
 
 
 def test_analysis_result_objects_have_no_dict(fig1_result):
-    (bundle,) = fig1_result.bundles
+    (region,) = fig1_result.bundles
     built = [
-        bundle.stmt, bundle.stmt.position, bundle.stmt.body,
-        next(iter(bundle.analysis.possible)),
+        region, region.position, region.body, *region.catches,
+        next(iter(region.possible)),
         fig1_result.report.try_blocks[0],
     ]
     for obj in built:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
     with pytest.raises(AttributeError):
-        bundle.stmt.note = "not a field"
+        region.note = "not a field"
+    with pytest.raises(AttributeError):
+        region.catches[0].note = "not a field"
