@@ -71,12 +71,17 @@ def classify_strategy(fact_type: str, matched_type: str,
     return Strategy.SUBSUMPTION
 
 
+# one shared frozenset per distinct set of actions, kept for the process;
+# there are at most 2 ** 12 of them, and a project holds few
+_ACTION_SETS: dict[frozenset[Action], frozenset[Action]] = {}
+
+
 def classify_actions(handler: HandlerRecord,
                      config: Optional[Config] = None) -> frozenset[Action]:
     """Every action the handler performs, read off its record; see the
     module docstring for the taxonomy. Detection is syntactic except Abort,
     which prefers the callee that the lowering of the method resolved for
-    the call."""
+    the call. Equal results are the same object."""
     cfg = config if config is not None else Config()
     actions = set(handler.actions)
     abort_sigs = [_split_signature(s) for s in sorted(cfg.abort_signatures)]
@@ -88,7 +93,8 @@ def classify_actions(handler: HandlerRecord,
         elif Action.DEFAULT not in handler.actions:
             # the one call of a Default handler is its printStackTrace
             actions.add(Action.METHOD)
-    return frozenset(actions)
+    result = frozenset(actions)
+    return _ACTION_SETS.setdefault(result, result)
 
 
 def opening_actions(clause: CatchClause) -> set[Action]:

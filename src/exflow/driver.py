@@ -51,8 +51,7 @@ def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,
     sets = compute_method_exception_sets(
         model, transitive=config.transitive_origins)
     bundles = try_bundles(model, sets, config)
-    report = aggregate_project(bundles, model, name or root.name,
-                               transitive=config.transitive_origins)
+    report = aggregate_project(bundles, model, name or root.name)
     diagnostics.extend(model.diagnostics)
     return AnalysisResult(model, sets, bundles, report, diagnostics)
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 from .classify import (
@@ -107,15 +106,15 @@ Origin = Union[LexicalThrowOrigin, CallSiteOrigin]
 class PossibleException:
     """One exception type at one origin within a region.
 
-    origin_methods holds the directly invoked method for call-site facts
-    (empty for lexical throws); source_methods holds every method that
-    contributed the type along the call chain, in transitive mode only.
+    source_methods holds every method that contributed the type along the
+    call chain when the method sets carry contributing methods (transitive
+    mode), and is empty otherwise and for lexical throws. The directly
+    invoked method of a call-site fact is its origin's callee.
     """
 
     type: str
     origin: Origin
     evidence: frozenset[EvidenceKind]
-    origin_methods: frozenset[MethodId]
     source_methods: frozenset[MethodId]
 
 
@@ -158,7 +157,8 @@ class TryRegion:
     has run for its method, its partition under the converged fixed point.
     handled maps each caught fact to its first matching clause, the caught
     type matched and the strategy, in _fact_key order; propagated holds
-    the other facts that reach the body."""
+    the other facts that reach the body. The two are disjoint, and every
+    fact that reaches the body is in one of them."""
 
     position: SourcePosition
     catches: tuple[Clause, ...]
@@ -171,17 +171,6 @@ class TryRegion:
     @property
     def id(self) -> str:
         return str(self.position)
-
-    @property
-    def possible(self) -> frozenset[PossibleException]:
-        """Every fact reaching the body, handled or not; a new set on each
-        read."""
-        return self.propagated.union(self.handled)
-
-    @property
-    def distinct_method_count(self) -> dict[str, int]:
-        """Per exception type, the directly invoked methods contributing it."""
-        return {tid: n for tid, (n, _) in attribute_sources(self).items()}
 
 
 @dataclass(slots=True)
@@ -273,23 +262,22 @@ def analyze_try_block(t: TryRegion, sets: MethodSets, model: SemanticModel,
     return t
 
 
-def attribute_sources(region: TryRegion, *, transitive: bool = False
+def attribute_sources(region: TryRegion
                       ) -> dict[str, tuple[int, frozenset[EvidenceKind]]]:
     """Per exception type: how many distinct methods it traces back to and
-    the union of its evidence kinds. Direct invocations of the try body by
-    default; transitive counts every contributing method instead."""
-    possible = [*region.propagated, *region.handled]
-    if transitive and any(f.origin_methods and not f.source_methods
-                          for f in possible):
-        raise ValueError(f"try block {region.id}: transitive counts "
-                         "need method sets computed with transitive=True")
-    pool = attrgetter("source_methods" if transitive else "origin_methods")
-    by_type: dict[str, list[PossibleException]] = {}
-    for fact in possible:
-        by_type.setdefault(fact.type, []).append(fact)
-    return {tid: (len(frozenset().union(*map(pool, facts))),
-                  frozenset().union(*map(_EVIDENCE, facts)))
-            for tid, facts in by_type.items()}
+    the union of its evidence kinds. The methods are those the method sets
+    carry: every contributing method if they were computed with
+    transitive=True, else the directly invoked method of each call site."""
+    by_type: dict[str, tuple[set[MethodId], set[EvidenceKind]]] = {}
+    for fact in (*region.propagated, *region.handled):
+        methods, evidence = by_type.setdefault(fact.type, (set(), set()))
+        if fact.source_methods:
+            methods |= fact.source_methods
+        elif isinstance(fact.origin, CallSiteOrigin):
+            methods.add(fact.origin.callee)
+        evidence |= fact.evidence
+    return {tid: (len(methods), frozenset(evidence))
+            for tid, (methods, evidence) in by_type.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +286,6 @@ def attribute_sources(region: TryRegion, *, transitive: bool = False
 
 _THROWN = frozenset({EvidenceKind.THROW_STATEMENT})
 _DOCUMENTED = frozenset({EvidenceKind.EXTERNAL_DOCUMENTATION})
-_EVIDENCE = attrgetter("evidence")
 
 
 # the one fact per evidence set that has no contributing methods
@@ -518,7 +505,7 @@ class _Lowering:
         else:
             region.throws.append(PossibleException(
                 tid, LexicalThrowOrigin(stmt.position), _THROWN,
-                frozenset(), frozenset()))
+                frozenset()))
 
 
 def _evaluate_method(method: CorpusMethod, sets: MethodSets,
@@ -553,9 +540,8 @@ def _site_facts(region: Region, sets: MethodSets
     """The facts of the region's own throw and call sites, unfiltered."""
     yield from region.throws
     for origin in region.calls:
-        via = frozenset({origin.callee})
         for tid, callee_fact in sets[origin.callee].items():
-            yield PossibleException(tid, origin, callee_fact.evidence, via,
+            yield PossibleException(tid, origin, callee_fact.evidence,
                                     callee_fact.sources)
 
 

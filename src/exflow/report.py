@@ -98,11 +98,12 @@ class CoverageSummary:
 
 
 def aggregate_project(regions: list[TryRegion], model: SemanticModel,
-                      name: str, *, transitive: bool = False) -> ProjectReport:
+                      name: str) -> ProjectReport:
     """Reduce partitioned and classified tries into the project report. One
     pass over the tries counts the totals and the diversity; the rows are
     built from the tries, in (file, line, try_id) order, each time they
-    are read."""
+    are read. Distinct-method counts are attribute_sources's, so they are
+    transitive if the tries were partitioned under transitive sets."""
     appearances = Counter(t for region in regions for t in {
         f.type for f in chain(region.propagated, region.handled)})
     buckets = {b: 0 for b in DIVERSITY_BUCKETS}
@@ -121,7 +122,7 @@ def aggregate_project(regions: list[TryRegion], model: SemanticModel,
                         is Recoverability.POTENTIALLY_RECOVERABLE)
 
     def row(region: TryRegion) -> TryRow:
-        # handled and propagated are disjoint and together make up possible
+        # handled and propagated are disjoint and hold every fact reaching it
         facts = [FactRow(f.type, f.origin.label, labels[f.evidence], False)
                  for f in region.propagated]
         strategy_by_type = dict.fromkeys((r.type for r in facts),
@@ -133,7 +134,7 @@ def aggregate_project(regions: list[TryRegion], model: SemanticModel,
                                  labels[fact.evidence], True))
             strategy_by_type[fact.type] = STRATEGY_LABELS[strategy]
         facts.sort(key=lambda r: (r.type, r.origin))
-        attribution = attribute_sources(region, transitive=transitive)
+        attribution = attribute_sources(region)
         exceptions = [
             TypeAttribution(t, attribution[t][0], labels[attribution[t][1]],
                             strategy_by_type[t])

@@ -45,7 +45,7 @@ def empty_model():
 def lexical(tid):
     return PossibleException(tid, LexicalThrowOrigin(SourcePosition("x", 1, 1)),
                              frozenset({EvidenceKind.THROW_STATEMENT}),
-                             frozenset(), frozenset())
+                             frozenset())
 
 
 def clause_of(handler_body, catch_type="Exception", extra=""):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from _clauses import distinct_counts, possible
 from _corpus import build_corpus_model, generate_corpus
 from exflow import flow
 from exflow.classify import Strategy, classify_strategy
@@ -261,7 +262,7 @@ def test_figure_one_try_partition(fig1_result):
     model, method, stmt = fig1_try(fig1_result)
     analysis = analyze_try_block(stmt, fig1_result.method_sets, model, method)
     ipe = "java.nio.file.InvalidPathException"
-    by_type = {f.type: f for f in analysis.possible}
+    by_type = {f.type: f for f in possible(analysis)}
     assert set(by_type) == {IOE, ipe}
     call_b = by_type[IOE].origin
     assert isinstance(call_b, CallSiteOrigin)
@@ -273,30 +274,48 @@ def test_figure_one_try_partition(fig1_result):
     assert matched == ipe
     assert strategy == Strategy.SPECIFIC
     assert analysis.propagated == {by_type[IOE]}
-    assert analysis.distinct_method_count == {IOE: 1, ipe: 1}
+    assert distinct_counts(analysis) == {IOE: 1, ipe: 1}
 
 
-def test_figure_one_attribution_direct_and_transitive(fig1_transitive_result):
-    model, method, stmt = fig1_try(fig1_transitive_result)
-    analysis = analyze_try_block(stmt, fig1_transitive_result.method_sets,
-                                 model, method)
-    direct = attribute_sources(analysis)
-    assert direct[IOE] == (1, frozenset({TS, TD, DC}))
-    transitive = attribute_sources(analysis, transitive=True)
-    assert transitive[IOE][0] == 2
+def test_figure_one_attribution_direct_and_transitive(
+        fig1_result, fig1_transitive_result):
+    # the counts are those of the method sets the try was partitioned
+    # under: the call to B() under the default sets, B() and C() under the
+    # transitive ones
     ipe = "java.nio.file.InvalidPathException"
-    assert direct[ipe] == (1, frozenset({ED}))
-    assert transitive[ipe][0] == 1
+    counts = {}
+    for mode, result in (("direct", fig1_result),
+                         ("transitive", fig1_transitive_result)):
+        model, method, stmt = fig1_try(result)
+        counts[mode] = attribute_sources(
+            analyze_try_block(stmt, result.method_sets, model, method))
+    assert counts["direct"] == {IOE: (1, frozenset({TS, TD, DC})),
+                                ipe: (1, frozenset({ED}))}
+    assert counts["transitive"] == {IOE: (2, frozenset({TS, TD, DC})),
+                                    ipe: (1, frozenset({ED}))}
 
 
-def test_transitive_counts_need_transitive_sets(fig1_result):
-    # the default sets carry no contributing methods, so a transitive count
-    # over them would read 0 for every call-site fact
-    model, method, stmt = fig1_try(fig1_result)
-    analysis = analyze_try_block(stmt, fig1_result.method_sets, model, method)
-    with pytest.raises(ValueError, match="transitive=True"):
-        attribute_sources(analysis, transitive=True)
-    assert attribute_sources(analysis)[IOE] == (1, frozenset({TS, TD, DC}))
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_only_transitive_sets_give_facts_source_methods(seed, cyclic):
+    # attribute_sources counts a fact's source methods when it has any and
+    # its call site's callee otherwise, so the default sets must leave
+    # every fact without them and the transitive sets must give them to
+    # every call-site fact
+    corpus = generate_corpus(seed, cyclic=cyclic, max_methods=20,
+                             max_try_depth=3)
+    for transitive in (False, True):
+        model, sets = build_corpus_model(corpus, transitive=transitive)
+        calls = throws = 0
+        for method, stmt in try_blocks(model):
+            for fact in possible(analyze_try_block(stmt, sets, model, method)):
+                if isinstance(fact.origin, LexicalThrowOrigin):
+                    throws += 1
+                    assert fact.source_methods == frozenset(), fact
+                else:
+                    calls += 1
+                    assert bool(fact.source_methods) == transitive, fact
+        assert calls and throws, (seed, cyclic, transitive)
 
 
 def test_direct_throw_in_try_has_no_source_methods():
@@ -306,11 +325,10 @@ def test_direct_throw_in_try_has_no_source_methods():
         "}\n")
     method, stmt = first_try(model)
     analysis = analyze_try_block(stmt, sets, model, method)
-    (fact,) = analysis.possible
+    (fact,) = possible(analysis)
     assert isinstance(fact.origin, LexicalThrowOrigin)
-    assert fact.origin_methods == frozenset()
     assert fact.source_methods == frozenset()
-    assert analysis.distinct_method_count == {IOE: 0}
+    assert distinct_counts(analysis) == {IOE: 0}
 
 
 def test_two_callees_counted_distinctly():
@@ -322,9 +340,8 @@ def test_two_callees_counted_distinctly():
         "}\n")
     method, stmt = first_try(model)
     analysis = analyze_try_block(stmt, sets, model, method)
-    assert len(analysis.possible) == 2
-    assert analysis.distinct_method_count == {IOE: 2}
-    assert attribute_sources(analysis)[IOE][0] == 2
+    assert len(possible(analysis)) == 2
+    assert distinct_counts(analysis) == {IOE: 2}
 
 
 def test_first_matching_clause_wins():
@@ -338,7 +355,7 @@ def test_first_matching_clause_wins():
         "}\n")
     method, stmt = first_try(model)
     analysis = analyze_try_block(stmt, sets, model, method)
-    (fact,) = analysis.possible
+    (fact,) = possible(analysis)
     clause, matched, strategy = analysis.handled[fact]
     assert clause is stmt.catches[0]
     assert matched == "java.lang.Exception"
@@ -355,7 +372,7 @@ def test_multi_catch_matches_first_alternative():
         "}\n")
     method, stmt = first_try(model)
     analysis = analyze_try_block(stmt, sets, model, method)
-    (fact,) = analysis.possible
+    (fact,) = possible(analysis)
     _, matched, strategy = analysis.handled[fact]
     assert matched == IOE
     assert strategy == Strategy.SPECIFIC
@@ -375,7 +392,7 @@ def test_nested_try_filters_inner_handled_types():
     outer_line = min(sets_by_line)
     method, outer = sets_by_line[outer_line]
     analysis = analyze_try_block(outer, sets, model, method)
-    assert {f.type for f in analysis.possible} == {RTE}
+    assert {f.type for f in possible(analysis)} == {RTE}
 
 
 def test_nested_catch_and_finally_feed_outer_region():
@@ -394,8 +411,8 @@ def test_nested_catch_and_finally_feed_outer_region():
     entries = sorted(try_blocks(model), key=lambda p: p[1].position.line)
     method, outer = entries[0]
     analysis = analyze_try_block(outer, sets, model, method)
-    origins = {type(f.origin).__name__ for f in analysis.possible}
-    assert {f.type for f in analysis.possible} == {IOE}
+    origins = {type(f.origin).__name__ for f in possible(analysis)}
+    assert {f.type for f in possible(analysis)} == {IOE}
     assert origins == {"LexicalThrowOrigin", "CallSiteOrigin"}
 
 
@@ -409,7 +426,7 @@ def test_catch_body_facts_not_part_of_own_try():
         "}\n")
     method, stmt = first_try(model)
     analysis = analyze_try_block(stmt, sets, model, method)
-    assert {f.type for f in analysis.possible} == {IOE}
+    assert {f.type for f in possible(analysis)} == {IOE}
 
 
 def test_same_type_from_two_origins_shares_strategy():
@@ -422,7 +439,7 @@ def test_same_type_from_two_origins_shares_strategy():
         "}\n")
     method, stmt = first_try(model)
     analysis = analyze_try_block(stmt, sets, model, method)
-    strategies = {analysis.handled[f][2] for f in analysis.possible}
+    strategies = {analysis.handled[f][2] for f in possible(analysis)}
     assert strategies == {Strategy.SUBSUMPTION}
 
 
@@ -530,9 +547,9 @@ def test_default_sets_share_one_fact_per_evidence_set(fig1_result, tree):
     assert len(distinct) == len({fact.evidence for fact in facts})
     analyses = [analyze_try_block(stmt, sets, model, method)
                 for method, stmt in try_blocks(model)]
-    assert any(analysis.possible for analysis in analyses)
+    assert any(possible(analysis) for analysis in analyses)
     assert all(fact.source_methods == frozenset()
-               for analysis in analyses for fact in analysis.possible)
+               for analysis in analyses for fact in possible(analysis))
 
 
 def test_deep_try_nest_partition():
@@ -557,7 +574,7 @@ def test_deep_try_nest_partition():
         assert stmt.position.line == first_line + k
         analysis = analyze_try_block(stmt, sets, model, method)
         got = {(f.type, f.origin.position.line, type(f.origin).__name__)
-               for f in analysis.possible}
+               for f in possible(analysis)}
         # a call at level j reaches try k unless a try in (k, j] catches it
         stop = next((m for m in range(k + 1, depth) if m % 50 == 0), depth)
         calls = {(RTE, first_line + j, "CallSiteOrigin")
@@ -631,11 +648,10 @@ def _reaching(region, sets, ancestors):
             if ancestors[fact.type].isdisjoint(caught):
                 _add(facts, fact)
         for origin in region.calls:
-            via = frozenset({origin.callee})
             for tid, callee_fact in sets[origin.callee].items():
                 if ancestors[tid].isdisjoint(caught):
                     _add(facts, PossibleException(tid, origin, callee_fact.evidence,
-                                                  via, callee_fact.sources))
+                                                  callee_fact.sources))
         for inner in region.tries:
             stack.append((inner.body, caught | inner.caught))
     return facts
@@ -650,7 +666,6 @@ def _add(facts, fact):
         facts[key] = PossibleException(
             fact.type, fact.origin,
             existing.evidence | fact.evidence,
-            existing.origin_methods | fact.origin_methods,
             existing.source_methods | fact.source_methods)
 
 
@@ -660,23 +675,23 @@ def walked_partition(model, sets, method, stmt):
     first matching clause per fact in _fact_key order."""
     (region,) = [t for t in flow.method_summary(model, method).tries
                  if t.position == stmt.position]
-    possible = frozenset(_reaching(region.body, sets, model.ancestors).values())
+    reaching = frozenset(_reaching(region.body, sets, model.ancestors).values())
     handled = {}
-    for fact in sorted(possible, key=flow._fact_key):
+    for fact in sorted(reaching, key=flow._fact_key):
         match = flow._first_match(model.ancestors[fact.type], region.catches)
         if match is not None:
             clause, matched = match
             handled[fact] = (clause, matched,
                              classify_strategy(fact.type, matched, model))
-    return possible, handled, possible - handled.keys()
+    return reaching, handled, reaching - handled.keys()
 
 
 def assert_partitions_match_walk(model, sets):
     for method, stmt in try_blocks(model):
         analysis = analyze_try_block(stmt, sets, model, method)
-        possible, handled, propagated = walked_partition(
+        reaching, handled, propagated = walked_partition(
             model, sets, method, stmt)
-        assert analysis.possible == possible, stmt.id
+        assert possible(analysis) == reaching, stmt.id
         assert analysis.handled == handled, stmt.id
         assert analysis.propagated == propagated, stmt.id
         keys = [flow._fact_key(f) for f in analysis.handled]

@@ -92,6 +92,21 @@ def test_handler_fixture_actions(jre_mini):
     }
 
 
+def test_equal_action_sets_are_one_object(jre_mini):
+    # under the default configuration and the fixtures' own, the clauses of
+    # the handler fixtures share a set wherever their actions are equal
+    clauses = [{c.id: c for region in analyze_project(
+                    HANDLERS_DIR, jre_mini, config).bundles
+                for c in region.catches}
+               for config in (None, CONFIG)]
+    equal = [(clause, clauses[1][cid]) for cid, clause in clauses[0].items()
+             if clause.actions == clauses[1][cid].actions]
+    assert len(equal) >= 6
+    for default, configured in equal:
+        assert default is not configured
+        assert default.actions is configured.actions, default.id
+
+
 def test_classifying_a_handler_walks_nothing(monkeypatch, jre_mini):
     inside = []
     counted = []

@@ -9,6 +9,8 @@ from exflow import flow, model, report
 from exflow.lint import LintFinding
 from exflow.syntax import ast
 
+from _clauses import possible
+
 TREE = [cls for cls in vars(ast).values()
         if dataclasses.is_dataclass(cls) and cls.__module__ == ast.__name__]
 SLOTTED = [
@@ -39,7 +41,7 @@ def test_analysis_result_objects_have_no_dict(fig1_result):
     (region,) = fig1_result.bundles
     built = [
         region, region.position, region.body, *region.catches,
-        next(iter(region.possible)),
+        next(iter(possible(region))),
         fig1_result.report.try_blocks[0],
     ]
     for obj in built:
