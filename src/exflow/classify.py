@@ -133,8 +133,8 @@ def handler_call(call: Invocation) -> HandlerCall:
 
 def mentions_todo(block: Block) -> bool:
     """Whether a comment attached to the block says TODO or FIXME."""
-    for comment in block.comments:
-        lowered = comment.text.lower()
+    for text in block.comments:
+        lowered = text.lower()
         if "todo" in lowered or "fixme" in lowered:
             return True
     return False

@@ -456,9 +456,9 @@ class _Lowering:
         """Resolve every call in the expression and note each invocation
         for the open handlers. named, if given, collects the names that
         the expression mentions outside lambda block bodies and
-        anonymous-class bodies. The walk keeps its own stack, so a long
-        concatenation nests to any depth; only a lambda body, which has
-        its own scope, is walked by a nested call."""
+        anonymous-class bodies. The walk keeps its own stack, so calls in
+        receivers and arguments nest to any depth; only a lambda body,
+        which has its own scope, is walked by a nested call."""
         handlers = self.handlers
         stack = [expr]
         while stack:

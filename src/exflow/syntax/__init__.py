@@ -1,7 +1,7 @@
 """Parsing of the supported Java subset into an analysis-ready tree."""
 
 from .ast import (
-    Block, CatchClause, Comment, CompilationUnit, CONSTRUCTOR_NAME,
+    Block, CatchClause, CompilationUnit, CONSTRUCTOR_NAME,
     DocComment, Invocation, MethodDecl, NewInstance, Param, SourcePosition,
     ThrowStmt, TryStmt, TypeDecl, VariableRef,
 )
@@ -10,7 +10,7 @@ from .javadoc import extract_doc_throws, extract_doc_throws_counted
 from .parser import parse_compilation_unit
 
 __all__ = [
-    "Block", "CatchClause", "Comment", "CompilationUnit", "CONSTRUCTOR_NAME",
+    "Block", "CatchClause", "CompilationUnit", "CONSTRUCTOR_NAME",
     "DocComment", "Invocation", "MethodDecl", "NewInstance", "Param",
     "ParseError", "SourcePosition", "ThrowStmt", "TryStmt", "TypeDecl",
     "VariableRef", "extract_doc_throws", "extract_doc_throws_counted",

@@ -1,8 +1,17 @@
-"""Syntax tree for the supported Java subset.
+"""Syntax tree for the supported Java subset, as far as the analysis reads
+it.
 
-Every statement carries a source position pointing at its first token, and
-every block records the character span it covers so that comments can be
-attached to the nearest enclosing statement list after parsing.
+Declarations, calls, `new`, try and catch clauses and throws carry the
+source position of their first token (a call: of its name); no other
+statement does. Every block records the character span it covers, so that
+comments can be attached to the nearest enclosing statement list after
+parsing.
+
+An expression is kept only where the analysis reads it: a call with its
+name, arity and receiver shape, a `new`, a lambda, a cast or a dotted name
+in a receiver, and inside a throw the names it mentions. The parser builds
+one Operands node for every other operator, holding the parts under it
+that are read; what reads nothing is dropped.
 
 Every node is a slotted dataclass: it holds its fields and nothing else,
 with no per-instance ``__dict__``, so a tree of tens of thousands of nodes
@@ -12,6 +21,7 @@ AttributeError.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -34,11 +44,16 @@ class SourcePosition:
 
 @dataclass(slots=True)
 class Literal:
+    """A literal; kept only in a receiver."""
+
     text: str
 
 
 @dataclass(slots=True)
 class Name:
+    """A simple name, `this` or `super`; kept only in a receiver or inside
+    a throw."""
+
     identifier: str
 
 
@@ -50,18 +65,16 @@ class FieldAccess:
 
 @dataclass(slots=True)
 class Invocation:
-    """A method call site. `receiver` is None for unqualified calls."""
+    """A method call site. `receiver` is None for unqualified calls;
+    `arguments` holds what the analysis reads of the arguments."""
 
     receiver: Optional["Expr"]
     name: str
-    arguments: list["Expr"]
+    arguments: tuple["Expr", ...]
+    arity: int
     position: SourcePosition
     # MethodId or Unresolved, set by SemanticModel.resolve_invocation
     callee: object = field(default=None, compare=False, repr=False)
-
-    @property
-    def arity(self) -> int:
-        return len(self.arguments)
 
 
 @dataclass(slots=True)
@@ -73,49 +86,12 @@ class NewInstance:
     """
 
     type_name: str
-    arguments: list["Expr"]
+    arguments: tuple["Expr", ...]
+    arity: int
     position: SourcePosition
     anonymous_body: Optional["Block"] = None
     # MethodId or Unresolved, set by SemanticModel.resolve_invocation
     callee: object = field(default=None, compare=False, repr=False)
-
-    @property
-    def arity(self) -> int:
-        return len(self.arguments)
-
-
-@dataclass(slots=True)
-class NewArray:
-    type_name: str
-    dimensions: list["Expr"]
-    initializer: list["Expr"] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class Unary:
-    op: str
-    operand: "Expr"
-
-
-@dataclass(slots=True)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(slots=True)
-class Assignment:
-    op: str
-    target: "Expr"
-    value: "Expr"
-
-
-@dataclass(slots=True)
-class Conditional:
-    condition: "Expr"
-    if_true: "Expr"
-    if_false: "Expr"
 
 
 @dataclass(slots=True)
@@ -125,33 +101,26 @@ class Cast:
 
 
 @dataclass(slots=True)
-class ArrayAccess:
-    target: "Expr"
-    index: "Expr"
-
-
-@dataclass(slots=True)
-class InstanceOf:
-    operand: "Expr"
-    type_name: str
-
-
-@dataclass(slots=True)
 class Lambda:
     parameters: list[str]
     body: Union["Block", "Expr"]
 
 
 @dataclass(slots=True)
-class MethodRef:
-    target: str
-    name: str
+class Operands:
+    """Any other expression: an operator, an array access or creation, or a
+    method reference. parts holds, left to right, what the analysis reads
+    under it: calls, `new`, lambdas, and inside a throw the names. Every
+    such expression with no part is the one EMPTY."""
 
+    parts: tuple["Expr", ...]
+
+
+EMPTY = Operands(())
 
 Expr = Union[
-    Literal, Name, FieldAccess, Invocation, NewInstance, NewArray, Unary,
-    Binary, Assignment, Conditional, Cast, ArrayAccess, InstanceOf, Lambda,
-    MethodRef,
+    Literal, Name, FieldAccess, Invocation, NewInstance, Cast, Lambda,
+    Operands,
 ]
 
 
@@ -160,27 +129,17 @@ Expr = Union[
 # ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
-class Comment:
-    """A comment preserved verbatim, attached to its nearest enclosing block."""
-
-    text: str
-    position: SourcePosition
-    is_doc: bool = False
-
-
-@dataclass(slots=True)
 class Block:
     statements: list["Statement"]
-    position: SourcePosition
     # character offsets (start, end) of the region this block covers
     span: tuple[int, int] = (0, 0)
-    comments: list[Comment] = field(default_factory=list)
+    # the text of each comment attached to the block, a list once it has one
+    comments: Sequence[str] = ()
 
 
 @dataclass(slots=True)
 class ExprStmt:
-    expression: Expr
-    position: SourcePosition
+    expression: Optional[Expr]
 
 
 @dataclass(slots=True)
@@ -193,15 +152,13 @@ class LocalVar:
 @dataclass(slots=True)
 class LocalDecl:
     declarations: list[LocalVar]
-    position: SourcePosition
 
 
 @dataclass(slots=True)
 class IfStmt:
-    condition: Expr
+    condition: Optional[Expr]
     then_branch: "Statement"
     else_branch: Optional["Statement"]
-    position: SourcePosition
 
 
 @dataclass(slots=True)
@@ -212,30 +169,25 @@ class LoopStmt:
     `update` holds for-update expressions (or the foreach iterable).
     """
 
-    kind: str
     init: list["Statement"]
     condition: Optional[Expr]
     update: list[Expr]
     body: "Statement"
-    position: SourcePosition
 
 
 @dataclass(slots=True)
 class ReturnStmt:
     value: Optional[Expr]
-    position: SourcePosition
 
 
 @dataclass(slots=True)
 class ContinueStmt:
-    label: Optional[str]
-    position: SourcePosition
+    pass
 
 
 @dataclass(slots=True)
 class BreakStmt:
-    label: Optional[str]
-    position: SourcePosition
+    pass
 
 
 @dataclass(slots=True)
@@ -247,7 +199,7 @@ class VariableRef:
 class OpaqueThrow:
     """A thrown expression that is neither `new T(...)` nor a bare variable."""
 
-    expression: Expr
+    expression: Optional[Expr]
 
 
 @dataclass(slots=True)
@@ -263,10 +215,6 @@ class CatchClause:
     body: Block
     position: SourcePosition
 
-    @property
-    def id(self) -> str:
-        return str(self.position)
-
 
 @dataclass(slots=True)
 class TryStmt:
@@ -274,10 +222,6 @@ class TryStmt:
     catches: list[CatchClause]
     finally_block: Optional[Block]
     position: SourcePosition
-
-    @property
-    def id(self) -> str:
-        return str(self.position)
 
 
 Statement = Union[
@@ -322,9 +266,7 @@ class MethodDecl:
 @dataclass(slots=True)
 class TypeDecl:
     name: str  # qualified with the unit's package
-    kind: str  # "class" | "interface"
     superclass: Optional[str]
-    interfaces: list[str]
     methods: list[MethodDecl]
     doc: Optional[DocComment]
     position: SourcePosition

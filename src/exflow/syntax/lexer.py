@@ -16,17 +16,18 @@ A file's tokens are three parallel arrays, with no object per token:
 
 Line and column are not tracked as the scan goes. They are worked out from
 an offset, by bisecting over the offsets where lines start, only when a
-``SourcePosition`` is built: for a node of the tree, a comment or a
-``ParseError``.
+``SourcePosition`` is built: for a declaration, a call, a `new`, a try, a
+catch clause or a throw, or for a ``ParseError``.
 
 Identifier, keyword and punctuator texts are interned with ``sys.intern``,
 so every occurrence of one spelling, across all files of a run, is the same
 string object: the tree holds one copy of each name instead of one per
 token. Literal texts are left as they are.
 
-Comments never enter the token arrays; they are collected on the side with
-their positions and character offsets so the parser can attach doc comments
-to declarations and ordinary comments to their nearest enclosing block.
+Comments never enter the token arrays; only their character spans are
+collected on the side, and no object is built per comment. The parser reads
+a comment's text from its span where it is used: a doc comment for the
+declaration it precedes, and any comment for its nearest enclosing block.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .ast import Comment, SourcePosition
+from .ast import SourcePosition
 from .errors import ParseError
 
 KEYWORDS = frozenset({
@@ -142,19 +143,21 @@ class LexedSource:
     """The token arrays plus side-channel comments for one source file.
 
     ``tags``, ``texts`` and ``offsets`` hold one entry per token, the eof
-    token last. ``comment_tokens`` holds, per comment, the index of the
-    token that follows it, so comments are associated with tokens without
-    an entry for every token.
+    token last. ``comment_spans`` holds the (start, end) offsets of each
+    comment, and ``comment_tokens``, per comment, the index of the token
+    that follows it, so comments are associated with tokens without an
+    entry for every token.
     """
 
     def __init__(self, source: str, file: str, tags: list[str],
                  texts: list[str], offsets: array,
                  comment_spans: list[tuple[int, int]], comment_tokens: array):
+        self.source = source
         self.file = file
         self.tags = tags
         self.texts = texts
         self.offsets = offsets
-        self.comment_spans = comment_spans  # (start, end) offsets per comment
+        self.comment_spans = comment_spans
         self.comment_tokens = comment_tokens
         # the offset where each line starts, for positions on demand, and
         # one int object per line number, so that every position on a line
@@ -162,20 +165,9 @@ class LexedSource:
         self.line_starts = array("I", [0])
         self.line_starts.extend(m.end() for m in _NEWLINE.finditer(source))
         self.line_numbers = list(range(1, len(self.line_starts) + 1))
-        self.comments = [
-            Comment(source[start:end], self.position(start),
-                    source.startswith("/**", start) and end - start > 4)
-            for start, end in comment_spans]
-
-    def position(self, offset: int) -> SourcePosition:
-        """The line and column of a character offset."""
-        line = bisect_right(self.line_starts, offset) - 1
-        return SourcePosition(self.file, self.line_numbers[line],
-                              offset - self.line_starts[line] + 1)
 
     def position_at(self, index: int) -> SourcePosition:
-        """The position of the token at index; the parser's hot path, so it
-        bisects itself rather than calling position."""
+        """The line and column of the token at index."""
         offset = self.offsets[index]
         line = bisect_right(self.line_starts, offset) - 1
         return SourcePosition(self.file, self.line_numbers[line],
@@ -186,6 +178,15 @@ class LexedSource:
         before it."""
         tokens = self.comment_tokens
         return range(bisect_left(tokens, index), bisect_right(tokens, index))
+
+    def comment_text(self, comment: int) -> str:
+        start, end = self.comment_spans[comment]
+        return self.source[start:end]
+
+    def is_doc(self, comment: int) -> bool:
+        """Whether the comment is a doc comment: `/**` and more than `/**/`."""
+        start, end = self.comment_spans[comment]
+        return self.source.startswith("/**", start) and end - start > 4
 
     @property
     def tokens(self) -> Sequence[Token]:

@@ -13,6 +13,14 @@ parenthesized expression, foreach or classic for, typed or bare lambda
 parameter) is made by a lookahead that consumes nothing, and is final:
 nothing is parsed twice and no ParseError is caught, so a ParseError
 always means malformed input, found in one pass.
+
+The grammar of expressions is parsed in full, but only what the analysis
+reads is built: each operator, array access or creation and method
+reference becomes one Operands node that holds the calls, `new`s and
+lambdas under it, and inside a throw the names too, flattened in source
+order. A name, literal, dotted name or cast stays as it is only where it
+can be the receiver of a call, and an operand, argument, initializer or
+statement expression that holds nothing to read is dropped.
 """
 
 from __future__ import annotations
@@ -20,12 +28,11 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .ast import (
-    ArrayAccess, Assignment, Binary, Block, Cast, CatchClause,
-    CompilationUnit, Conditional, ContinueStmt, BreakStmt, CONSTRUCTOR_NAME,
-    DocComment, Expr, ExprStmt, FieldAccess, IfStmt, InstanceOf, Invocation,
-    Lambda, Literal, LocalDecl, LocalVar, LoopStmt, MethodDecl, MethodRef,
-    Name, NewArray, NewInstance, OpaqueThrow, Param, ReturnStmt, SourcePosition,
-    Statement, ThrowStmt, TryStmt, TypeDecl, Unary, VariableRef,
+    Block, Cast, CatchClause, CompilationUnit, ContinueStmt, BreakStmt,
+    CONSTRUCTOR_NAME, DocComment, EMPTY, Expr, ExprStmt, FieldAccess, IfStmt,
+    Invocation, Lambda, Literal, LocalDecl, LocalVar, LoopStmt, MethodDecl,
+    Name, NewInstance, OpaqueThrow, Operands, Param, ReturnStmt,
+    SourcePosition, Statement, ThrowStmt, TryStmt, TypeDecl, VariableRef,
 )
 from .errors import ParseError
 from .javadoc import parse_doc_comment
@@ -84,6 +91,8 @@ class _Parser:
         self.pos = 0
         self.last = len(lexed.tags) - 1  # the eof token
         self.blocks: list[Block] = []
+        # whether names are read: in a throw, outside any block under it
+        self.in_throw = False
 
     # ------------------------------------------------------------------
     # token plumbing: a token is its index into the lexer's arrays
@@ -170,10 +179,10 @@ class _Parser:
         return ".".join(parts)
 
     def _doc_at(self, tok_index: int) -> Optional[DocComment]:
-        comments = self.lexed.comments
-        for ci in reversed(self.lexed.comments_before(tok_index)):
-            if comments[ci].is_doc:
-                return parse_doc_comment(comments[ci].text)
+        lexed = self.lexed
+        for ci in reversed(lexed.comments_before(tok_index)):
+            if lexed.is_doc(ci):
+                return parse_doc_comment(lexed.comment_text(ci))
         return None
 
     # ------------------------------------------------------------------
@@ -232,19 +241,13 @@ class _Parser:
         if self._at("<") and not self._skip_generics():
             raise self._error("malformed type parameters")
         superclass: Optional[str] = None
-        interfaces: list[str] = []
-        if kind == "class":
-            if self._accept("extends"):
-                superclass = self._type_name()
-            if self._accept("implements"):
-                interfaces.append(self._type_name())
-                while self._accept(","):
-                    interfaces.append(self._type_name())
-        else:
-            if self._accept("extends"):
-                interfaces.append(self._type_name())
-                while self._accept(","):
-                    interfaces.append(self._type_name())
+        if kind == "class" and self._accept("extends"):
+            superclass = self._type_name()
+        # interfaces are parsed, not modeled
+        if self._accept("implements" if kind == "class" else "extends"):
+            self._type_name()
+            while self._accept(","):
+                self._type_name()
         self._expect("{")
         qualified = f"{prefix}.{simple_name}" if prefix else simple_name
         methods: list[MethodDecl] = []
@@ -279,9 +282,9 @@ class _Parser:
                 methods.append(self._method_rest(
                     mname, self._position(name_at), member_doc))
             else:
-                self._field_rest(self.texts[at])
+                self._field_rest()
         self._expect("}")
-        decl = TypeDecl(qualified, kind, superclass, interfaces, methods, doc,
+        decl = TypeDecl(qualified, superclass, methods, doc,
                         self._position(kind_at))
         return [decl] + nested
 
@@ -324,13 +327,13 @@ class _Parser:
             type_name += "[]"
         return Param(name, type_name)
 
-    def _field_rest(self, type_hint: str) -> None:
+    def _field_rest(self) -> None:
         # fields are accepted but not modeled; initializers must still parse
         while True:
             while self._accept("["):
                 self._expect("]")
             if self._accept("="):
-                self._array_init_or_expr(type_hint)
+                self._array_init_or_expr()
             if self._accept(","):
                 self._ident()
                 continue
@@ -438,18 +441,14 @@ class _Parser:
             if stmt is not None:
                 statements.append(stmt)
         close_at = self._expect("}")
-        block = Block(statements, self._position(open_at),
+        block = Block(statements,
                       (self.offsets[open_at], self.offsets[close_at] + 1))
         self.blocks.append(block)
         return block
 
     def _statement_required(self) -> Statement:
-        at = self.pos
         stmt = self._statement()
-        if stmt is None:
-            offset = self.offsets[at]
-            return Block([], self._position(at), (offset, offset + 1))
-        return stmt
+        return Block([]) if stmt is None else stmt
 
     def _statement(self) -> Optional[Statement]:
         at = self.pos
@@ -470,24 +469,22 @@ class _Parser:
                 return self._for_statement()
             if tag == "return":
                 self.pos = at + 1
-                value = None if self._at(";") else self._expression()
+                value = None if self._at(";") else self._kept(self._expression())
                 self._expect(";")
-                return ReturnStmt(value, self._position(at))
-            if tag == "continue":
+                return ReturnStmt(value)
+            if tag == "continue" or tag == "break":
                 self.pos = at + 1
-                label = self._ident() if self._at(IDENT) else None
+                if self._at(IDENT):
+                    self.pos += 1  # the label
                 self._expect(";")
-                return ContinueStmt(label, self._position(at))
-            if tag == "break":
-                self.pos = at + 1
-                label = self._ident() if self._at(IDENT) else None
-                self._expect(";")
-                return BreakStmt(label, self._position(at))
+                return ContinueStmt() if tag == "continue" else BreakStmt()
             if tag == "throw":
                 self.pos = at + 1
-                thrown = self._expression()
+                self.in_throw = True
+                thrown = self._thrown(self._expression())
+                self.in_throw = False
                 self._expect(";")
-                return ThrowStmt(_as_thrown(thrown), self._position(at))
+                return ThrowStmt(thrown, self._position(at))
             if tag == "try":
                 return self._try_statement()
             if tag == "synchronized":
@@ -505,71 +502,67 @@ class _Parser:
         if tag == IDENT and self._peek() == ":":
             self.pos = at + 2
             return self._statement()
-        expr = self._expression()
+        expr = self._kept(self._expression())
         self._expect(";")
-        return ExprStmt(expr, self._position(at))
+        return ExprStmt(expr)
 
     def _if_statement(self) -> IfStmt:
-        at = self._advance()
+        self.pos += 1  # "if"
         self._expect("(")
-        condition = self._expression()
+        condition = self._kept(self._expression())
         self._expect(")")
         then_branch = self._statement_required()
         else_branch = None
         if self._accept("else"):
             else_branch = self._statement_required()
-        return IfStmt(condition, then_branch, else_branch, self._position(at))
+        return IfStmt(condition, then_branch, else_branch)
 
     def _while_statement(self) -> LoopStmt:
-        at = self._advance()
+        self.pos += 1  # "while"
         self._expect("(")
-        condition = self._expression()
+        condition = self._kept(self._expression())
         self._expect(")")
-        body = self._statement_required()
-        return LoopStmt("while", [], condition, [], body, self._position(at))
+        return LoopStmt([], condition, [], self._statement_required())
 
     def _do_statement(self) -> LoopStmt:
-        at = self._advance()
+        self.pos += 1  # "do"
         body = self._statement_required()
         self._expect("while")
         self._expect("(")
-        condition = self._expression()
+        condition = self._kept(self._expression())
         self._expect(")")
         self._expect(";")
-        return LoopStmt("do", [], condition, [], body, self._position(at))
+        return LoopStmt([], condition, [], body)
 
     def _for_statement(self) -> LoopStmt:
-        at = self._advance()
+        self.pos += 1  # "for"
         self._expect("(")
+        update: list[Expr] = []
         if self._declaration_ahead((":",)):
             type_name, var_name = self._typed_name()
             self.pos += 1  # ":"
-            iterable = self._expression()
+            self._gather(self._expression(), update)  # the iterable
             self._expect(")")
             body = self._statement_required()
-            var = LocalDecl([LocalVar(var_name, type_name)], self._position(at))
-            return LoopStmt("foreach", [var], None, [iterable], body,
-                            self._position(at))
+            var = LocalDecl([LocalVar(var_name, type_name)])
+            return LoopStmt([var], None, update, body)
         init: list[Statement] = []
         if self._declaration_ahead(_LOCAL_FOLLOW):
             init.append(self._local_decl())  # the declaration consumed the ';'
         elif not self._accept(";"):
-            pos = self._position(self.pos)
-            init.append(ExprStmt(self._expression(), pos))
+            init.append(ExprStmt(self._kept(self._expression())))
             while self._accept(","):
-                pos = self._position(self.pos)
-                init.append(ExprStmt(self._expression(), pos))
+                init.append(ExprStmt(self._kept(self._expression())))
             self._expect(";")
-        condition = None if self._at(";") else self._expression()
+        condition = None if self._at(";") else self._kept(self._expression())
         self._expect(";")
-        update: list[Expr] = []
         if not self._at(")"):
-            update.append(self._expression())
+            self._gather(self._expression(), update)
             while self._accept(","):
-                update.append(self._expression())
+                self._gather(self._expression(), update)
         self._expect(")")
         body = self._statement_required()
-        return LoopStmt("for", init, condition, update, body, self._position(at))
+        return LoopStmt(init, condition, update, body)
 
     def _try_statement(self) -> TryStmt:
         at = self._advance()
@@ -604,34 +597,28 @@ class _Parser:
         return TryStmt(body, catches, finally_block, self._position(at))
 
     def _resource(self) -> Statement:
-        at = self.pos
         if not self._declaration_ahead(("=",)):
-            return ExprStmt(self._expression(), self._position(at))
+            return ExprStmt(self._kept(self._expression()))
         type_name, name = self._typed_name()
         self.pos += 1  # "="
-        value = self._expression()
-        return LocalDecl([LocalVar(name, type_name, value)],
-                         self._position(at))
+        value = self._kept(self._expression())
+        return LocalDecl([LocalVar(name, type_name, value)])
 
     def _synchronized_statement(self) -> Block:
-        at = self._advance()
+        self.pos += 1  # "synchronized"
         self._expect("(")
-        lock_pos = self._position(self.pos)
-        lock = self._expression()
+        lock = self._kept(self._expression())
         self._expect(")")
-        body = self._block()
-        return Block([ExprStmt(lock, lock_pos), body], self._position(at),
-                     (self.offsets[at], body.span[1]))
+        return Block([ExprStmt(lock), self._block()])
 
     def _switch_statement(self) -> Block:
         # desugared to a block so selector and case bodies keep their calls
         at = self._advance()
         self._expect("(")
-        selector_pos = self._position(self.pos)
-        selector = self._expression()
+        selector = self._kept(self._expression())
         self._expect(")")
         self._expect("{")
-        statements: list[Statement] = [ExprStmt(selector, selector_pos)]
+        statements: list[Statement] = [ExprStmt(selector)]
         tags = self.tags
         while tags[self.pos] != "}":
             tag = tags[self.pos]
@@ -661,24 +648,20 @@ class _Parser:
             if stmt is not None:
                 statements.append(stmt)
         close_at = self._expect("}")
-        block = Block(statements, self._position(at),
+        block = Block(statements,
                       (self.offsets[at], self.offsets[close_at] + 1))
         self.blocks.append(block)
         return block
 
     def _assert_statement(self) -> Block:
-        at = self._advance()
-        cond_pos = self._position(self.pos)
-        statements: list[Statement] = [ExprStmt(self._expression(), cond_pos)]
+        self.pos += 1  # "assert"
+        statements: list[Statement] = [ExprStmt(self._kept(self._expression()))]
         if self._accept(":"):
-            msg_pos = self._position(self.pos)
-            statements.append(ExprStmt(self._expression(), msg_pos))
-        close_at = self._expect(";")
-        return Block(statements, self._position(at),
-                     (self.offsets[at], self.offsets[close_at] + 1))
+            statements.append(ExprStmt(self._kept(self._expression())))
+        self._expect(";")
+        return Block(statements)
 
     def _local_decl(self) -> LocalDecl:
-        at = self.pos
         type_name, name = self._typed_name()
         declarations: list[LocalVar] = []
         while True:
@@ -688,50 +671,110 @@ class _Parser:
                 dims += "[]"
             initializer = None
             if self._accept("="):
-                initializer = self._array_init_or_expr(type_name)
+                initializer = self._kept(self._array_init_or_expr())
             declarations.append(LocalVar(name, type_name + dims, initializer))
             if not self._accept(","):
                 self._expect(";")
-                return LocalDecl(declarations, self._position(at))
+                return LocalDecl(declarations)
             name = self._ident()
 
-    def _array_init_or_expr(self, type_hint: str) -> Expr:
+    def _array_init_or_expr(self) -> Expr:
         if self._at("{"):
-            return self._array_initializer(type_hint)
+            return self._array_initializer()
         return self._expression()
 
-    def _array_initializer(self, type_hint: str) -> NewArray:
+    def _array_initializer(self) -> Operands:
         self._expect("{")
         elements: list[Expr] = []
         while not self._at("}"):
-            elements.append(self._array_init_or_expr(type_hint))
+            elements.append(self._array_init_or_expr())
             if not self._accept(","):
                 break
         self._expect("}")
-        return NewArray(type_hint, [], elements)
+        return self._operands(*elements)
 
     # ------------------------------------------------------------------
     # expressions
     # ------------------------------------------------------------------
+
+    def _gather(self, expr: Expr, parts: list[Expr]) -> None:
+        """Add to parts what the analysis reads of expr as an operand: a
+        call, a `new` or a lambda itself, the parts of an Operands, what is
+        under a cast or field access, and a name only inside a throw."""
+        while True:
+            kind = type(expr)
+            if kind is Operands:
+                parts.extend(expr.parts)
+            elif kind is Cast:
+                expr = expr.operand
+                continue
+            elif kind is FieldAccess:
+                expr = expr.target
+                continue
+            elif kind is Name:
+                if self.in_throw:
+                    parts.append(expr)
+            elif kind is not Literal:
+                parts.append(expr)
+            return
+
+    def _operands(self, *operands: Expr) -> Operands:
+        """The Operands node of an expression with these operands."""
+        parts: list[Expr] = []
+        for operand in operands:
+            self._gather(operand, parts)
+        return _operands_node(parts)
+
+    def _kept(self, expr: Expr) -> Optional[Expr]:
+        """expr as a statement, an initializer or a lambda body holds it:
+        None when it holds nothing to read, else its one part or its
+        Operands."""
+        kind = type(expr)
+        if kind is Invocation or kind is NewInstance or kind is Lambda:
+            return expr
+        if kind is Operands:
+            parts = expr.parts
+        else:
+            parts = []
+            self._gather(expr, parts)
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return None
+        return expr if kind is Operands else Operands(tuple(parts))
+
+    def _thrown(self, expr: Expr) -> Union[NewInstance, VariableRef, OpaqueThrow]:
+        """A throw's expression as the throw keeps it: the `new T(...)` or
+        the variable under any casts, or else what is read of it."""
+        inner = expr
+        while type(inner) is Cast:
+            inner = inner.operand
+        if type(inner) is NewInstance:
+            return inner
+        if type(inner) is Name:
+            return VariableRef(inner.identifier)
+        return OpaqueThrow(self._kept(inner))
 
     def _expression(self) -> Expr:
         lam = self._maybe_lambda()
         if lam is not None:
             return lam
         left = self._conditional()
-        tag = self.tags[self.pos]
-        if tag in _ASSIGN_OPS:
+        if self.tags[self.pos] in _ASSIGN_OPS:
             self.pos += 1
-            return Assignment(tag, left, self._expression())
+            return self._operands(left, self._expression())
         return left
 
-    def _maybe_lambda(self) -> Optional[Lambda]:
+    def _maybe_lambda(self) -> Optional[Expr]:
+        """A lambda that starts here, or EMPTY for one whose body is an
+        expression that holds nothing to read; None, with nothing consumed,
+        when no lambda starts here."""
         at = self.pos
         tags = self.tags
         tag = tags[at]
         if tag == IDENT and self._peek() == "->":
             self.pos = at + 2
-            return Lambda([self.texts[at]], self._lambda_body())
+            return self._lambda([self.texts[at]])
         if tag == "(":
             # the token after the matching `)`; no match is no lambda
             depth = 0
@@ -758,21 +801,25 @@ class _Parser:
                     break
             self._expect(")")
             self._expect("->")
-            return Lambda(params, self._lambda_body())
+            return self._lambda(params)
         return None
 
-    def _lambda_body(self) -> Union[Block, Expr]:
-        if self._at("{"):
-            return self._block()
-        return self._expression()
+    def _lambda(self, params: list[str]) -> Expr:
+        if not self._at("{"):
+            body = self._kept(self._expression())
+            return EMPTY if body is None else Lambda(params, body)
+        # the statements of a block body are no part of a throw around it
+        in_throw, self.in_throw = self.in_throw, False
+        block = self._block()
+        self.in_throw = in_throw
+        return Lambda(params, block)
 
     def _conditional(self) -> Expr:
         expr = self._binary(0)
         if self._accept("?"):
             if_true = self._expression()
             self._expect(":")
-            if_false = self._expression()
-            return Conditional(expr, if_true, if_false)
+            return self._operands(expr, if_true, self._expression())
         return expr
 
     def _binary(self, min_level: int) -> Expr:
@@ -780,29 +827,35 @@ class _Parser:
         # at least min_level, each with a right operand of tighter operators
         # only. The levels met along the loop never rise, as with one loop
         # per level; that matters after `instanceof`, whose right side is a
-        # type, so a tighter operator after it is not taken here.
+        # type, so a tighter operator after it is not taken here. The
+        # operands of the whole chain go into one Operands node.
         left = self._unary()
         max_level = len(_BINARY_LEVELS)
         tags = self.tags
+        parts: Optional[list[Expr]] = None
         while True:
             tag = tags[self.pos]
             level = _BINARY_LEVEL.get(tag)
             if level is None or not min_level <= level <= max_level:
-                return left
+                break
             self.pos += 1
             max_level = level
+            if parts is None:
+                parts = []
+                self._gather(left, parts)
             if tag == "instanceof":
-                left = InstanceOf(left, self._type_name())
+                self._type_name()
                 if tags[self.pos] == IDENT:
-                    self.pos += 1  # pattern variable, type already recorded
+                    self.pos += 1  # pattern variable
                 continue
-            left = Binary(tag, left, self._binary(level + 1))
+            self._gather(self._binary(level + 1), parts)
+        return left if parts is None else _operands_node(parts)
 
     def _unary(self) -> Expr:
         tag = self.tags[self.pos]
         if tag in _PREFIX_OPS:
             self.pos += 1
-            return Unary(tag, self._unary())
+            return self._operands(self._unary())
         if tag == "(":
             cast = self._try_cast()
             if cast is not None:
@@ -825,7 +878,8 @@ class _Parser:
                 primitive or "." in type_name or "[]" in type_name
                 or not type_name[0].islower()):
             self.pos += 1  # ")"
-            return Cast(type_name, self._maybe_lambda() or self._unary())
+            operand = self._maybe_lambda()
+            return Cast(type_name, self._unary() if operand is None else operand)
         self.pos = start
         return None
 
@@ -842,14 +896,14 @@ class _Parser:
                         raise self._error("malformed type arguments")
                     name_at = self.pos
                     name = self._ident()
-                    expr = Invocation(expr, name, self._arguments(),
+                    expr = Invocation(expr, name, *self._arguments(),
                                       self._position(name_at))
                     continue
                 if nxt == IDENT:
                     self.pos = nxt_at + 1
                     name = self.texts[nxt_at]
                     if tags[self.pos] == "(":
-                        expr = Invocation(expr, name, self._arguments(),
+                        expr = Invocation(expr, name, *self._arguments(),
                                           self._position(nxt_at))
                     else:
                         expr = FieldAccess(expr, name)
@@ -867,33 +921,36 @@ class _Parser:
                 self.pos += 1
                 index = self._expression()
                 self._expect("]")
-                expr = ArrayAccess(expr, index)
+                expr = self._operands(expr, index)
                 continue
             if tag == "::":
+                # a method reference: nothing under it is read
                 self.pos += 1
                 if self._at("<"):
                     self._skip_generics()
-                if self._accept("new"):
-                    name = "new"
-                else:
-                    name = self._ident()
-                expr = MethodRef(_render_chain(expr), name)
+                if not self._accept("new"):
+                    self._ident()
+                expr = EMPTY
                 continue
             if tag == "++" or tag == "--":
                 self.pos += 1
-                expr = Unary("post" + tag, expr)
+                expr = self._operands(expr)
                 continue
             return expr
 
-    def _arguments(self) -> list[Expr]:
+    def _arguments(self) -> tuple[tuple[Expr, ...], int]:
+        """What is read of the arguments, and how many there are."""
         self._expect("(")
-        args: list[Expr] = []
+        parts: list[Expr] = []
+        arity = 0
         if not self._at(")"):
-            args.append(self._expression())
+            self._gather(self._expression(), parts)
+            arity = 1
             while self._accept(","):
-                args.append(self._expression())
+                self._gather(self._expression(), parts)
+                arity += 1
         self._expect(")")
-        return args
+        return tuple(parts), arity
 
     def _primary(self) -> Expr:
         at = self.pos
@@ -901,7 +958,7 @@ class _Parser:
         if tag == IDENT:
             self.pos = at + 1
             if self._at("("):
-                return Invocation(None, self.texts[at], self._arguments(),
+                return Invocation(None, self.texts[at], *self._arguments(),
                                   self._position(at))
             return Name(self.texts[at])
         if tag in LITERALS:
@@ -914,7 +971,7 @@ class _Parser:
             if tag == "this" or tag == "super":
                 self.pos = at + 1
                 if self._at("("):
-                    return Invocation(None, tag, self._arguments(),
+                    return Invocation(None, tag, *self._arguments(),
                                       self._position(at))
                 return Name(tag)
             if tag == "new":
@@ -931,7 +988,7 @@ class _Parser:
         raise self._error(
             f"expected expression, found {self.texts[at] or 'end of file'!r}")
 
-    def _new_expression(self, new_at: int) -> Union[NewInstance, NewArray]:
+    def _new_expression(self, new_at: int) -> Union[NewInstance, Operands]:
         tag = self.tags[self.pos]
         if tag in PRIMITIVE_TYPES:
             self.pos += 1
@@ -947,21 +1004,24 @@ class _Parser:
                     self._skip_generics()
             type_name = ".".join(parts)
         if self._at("["):
-            dimensions: list[Expr] = []
+            # an array: its dimensions and initializer are its operands
+            operands: list[Expr] = []
             while self._accept("["):
                 if not self._accept("]"):
-                    dimensions.append(self._expression())
+                    operands.append(self._expression())
                     self._expect("]")
-            initializer: list[Expr] = []
             if self._at("{"):
-                initializer = self._array_initializer(type_name).initializer
-            return NewArray(type_name, dimensions, initializer)
-        arguments = self._arguments()
+                operands.append(self._array_initializer())
+            return self._operands(*operands)
+        arguments, arity = self._arguments()
         anonymous = None
         if self._at("{"):
+            # the statements of the body are no part of a throw around it
+            in_throw, self.in_throw = self.in_throw, False
             anonymous = self._anonymous_body()
-        return NewInstance(type_name, arguments, self._position(new_at),
-                           anonymous)
+            self.in_throw = in_throw
+        return NewInstance(type_name, arguments, arity,
+                           self._position(new_at), anonymous)
 
     def _anonymous_body(self) -> Block:
         # method bodies of the anonymous class, hoisted into one block so
@@ -980,7 +1040,6 @@ class _Parser:
                 continue
             if self._at("<") and not self._skip_generics():
                 raise self._error("malformed type parameters")
-            type_at = self.pos
             self._return_type()
             name_at = self.pos
             name = self._ident()
@@ -989,32 +1048,16 @@ class _Parser:
                 if method.body is not None:
                     statements.append(method.body)
             else:
-                self._field_rest(self.texts[type_at])
+                self._field_rest()
         close_at = self._expect("}")
-        block = Block(statements, self._position(open_at),
+        block = Block(statements,
                       (self.offsets[open_at], self.offsets[close_at] + 1))
         self.blocks.append(block)
         return block
 
 
-def _as_thrown(expr: Expr) -> Union[NewInstance, VariableRef, OpaqueThrow]:
-    inner = expr
-    while isinstance(inner, Cast):
-        inner = inner.operand
-    if isinstance(inner, NewInstance):
-        return inner
-    if isinstance(inner, Name):
-        return VariableRef(inner.identifier)
-    return OpaqueThrow(inner)
-
-
-def _render_chain(expr: Expr) -> str:
-    if isinstance(expr, Name):
-        return expr.identifier
-    if isinstance(expr, FieldAccess):
-        prefix = _render_chain(expr.target)
-        return f"{prefix}.{expr.name}" if prefix else expr.name
-    return ""
+def _operands_node(parts: list[Expr]) -> Operands:
+    return Operands(tuple(parts)) if parts else EMPTY
 
 
 def _attach_comments(lexed: LexedSource, blocks: list[Block]) -> None:
@@ -1031,11 +1074,16 @@ def _attach_comments(lexed: LexedSource, blocks: list[Block]) -> None:
     ordered = sorted(reversed(blocks), key=lambda block: block.span[0])
     stack: list[Block] = []
     pushed = 0
-    for comment, (start, end) in zip(lexed.comments, lexed.comment_spans):
+    source = lexed.source
+    for start, end in lexed.comment_spans:
         while pushed < len(ordered) and ordered[pushed].span[0] < start:
             stack.append(ordered[pushed])
             pushed += 1
         while stack and stack[-1].span[1] < end:
             stack.pop()
         if stack:
-            stack[-1].comments.append(comment)
+            block = stack[-1]
+            if block.comments:
+                block.comments.append(source[start:end])
+            else:
+                block.comments = [source[start:end]]

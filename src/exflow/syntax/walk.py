@@ -1,60 +1,50 @@
 """Traversal helpers over the syntax tree: the direct children of one
 node. None of them descends into a nested Block; a walk treats lambda block
 bodies and hoisted anonymous-class bodies as statement regions of their
-own."""
+own. A statement whose expression the parser dropped has none to yield."""
 
 from __future__ import annotations
 
 from typing import Iterator
 
 from .ast import (
-    ArrayAccess, Assignment, Binary, Block, BreakStmt, Cast,
-    Conditional, ContinueStmt, Expr, ExprStmt, FieldAccess, IfStmt,
-    InstanceOf, Invocation, Lambda, Literal, LocalDecl, LoopStmt, MethodRef,
-    Name, NewArray, NewInstance, OpaqueThrow, ReturnStmt, Statement,
-    ThrowStmt, TryStmt, Unary,
+    Block, BreakStmt, Cast, ContinueStmt, Expr, ExprStmt, FieldAccess,
+    IfStmt, Invocation, Lambda, LocalDecl, LoopStmt, NewInstance,
+    OpaqueThrow, Operands, ReturnStmt, Statement, ThrowStmt, TryStmt,
 )
 
 
-def sub_expressions(expr: Expr) -> list[Expr]:
+def sub_expressions(expr: Expr) -> tuple[Expr, ...]:
     """Direct child expressions, left to right, excluding statement blocks."""
-    if isinstance(expr, (Literal, Name, MethodRef)):
-        return []
+    if isinstance(expr, Operands):
+        return expr.parts
     if isinstance(expr, Invocation):
         if expr.receiver is None:
-            return list(expr.arguments)
-        return [expr.receiver, *expr.arguments]
+            return expr.arguments
+        return (expr.receiver, *expr.arguments)
     if isinstance(expr, NewInstance):
-        return list(expr.arguments)
-    if isinstance(expr, NewArray):
-        return [*expr.dimensions, *expr.initializer]
+        return expr.arguments
     if isinstance(expr, FieldAccess):
-        return [expr.target]
-    if isinstance(expr, (Unary, Cast, InstanceOf)):
-        return [expr.operand]
-    if isinstance(expr, Binary):
-        return [expr.left, expr.right]
-    if isinstance(expr, Assignment):
-        return [expr.target, expr.value]
-    if isinstance(expr, Conditional):
-        return [expr.condition, expr.if_true, expr.if_false]
-    if isinstance(expr, ArrayAccess):
-        return [expr.target, expr.index]
+        return (expr.target,)
+    if isinstance(expr, Cast):
+        return (expr.operand,)
     if isinstance(expr, Lambda) and not isinstance(expr.body, Block):
-        return [expr.body]
-    return []  # a lambda with a block body
+        return (expr.body,)
+    return ()  # a name, a literal, or a lambda with a block body
 
 
 def statement_expressions(stmt: Statement) -> Iterator[Expr]:
     """Top-level expressions owned by one statement."""
     if isinstance(stmt, ExprStmt):
-        yield stmt.expression
+        if stmt.expression is not None:
+            yield stmt.expression
     elif isinstance(stmt, LocalDecl):
         for var in stmt.declarations:
             if var.initializer is not None:
                 yield var.initializer
     elif isinstance(stmt, IfStmt):
-        yield stmt.condition
+        if stmt.condition is not None:
+            yield stmt.condition
     elif isinstance(stmt, LoopStmt):
         if stmt.condition is not None:
             yield stmt.condition
@@ -65,7 +55,8 @@ def statement_expressions(stmt: Statement) -> Iterator[Expr]:
     elif isinstance(stmt, ThrowStmt):
         if isinstance(stmt.thrown, NewInstance):
             yield stmt.thrown
-        elif isinstance(stmt.thrown, OpaqueThrow):
+        elif (isinstance(stmt.thrown, OpaqueThrow)
+              and stmt.thrown.expression is not None):
             yield stmt.thrown.expression
 
 

@@ -540,8 +540,9 @@ def partition_recoverability(propagated, model) -> tuple[set, set]:
 # ---------------------------------------------------------------------------
 
 def iter_expressions(expr: Expr) -> Iterator[Expr]:
-    """The expression and all sub-expressions, in pre-order left to right,
-    without entering blocks."""
+    """The expression and every sub-expression that the parser kept: calls,
+    `new`, lambdas, receivers and Operands parts, in pre-order left to
+    right, without entering blocks."""
     stack = [expr]
     while stack:
         node = stack.pop()

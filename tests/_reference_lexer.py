@@ -14,7 +14,7 @@ import re
 import sys
 from typing import NamedTuple, Sequence
 
-from exflow.syntax.ast import Comment, SourcePosition
+from exflow.syntax.ast import SourcePosition
 from exflow.syntax.errors import ParseError
 
 KEYWORDS = frozenset({
@@ -84,11 +84,10 @@ class Token(NamedTuple):
 class LexedSource:
     """Tokens plus side-channel comments for one source file."""
 
-    def __init__(self, tokens: list[Token], comments: list[Comment],
+    def __init__(self, tokens: list[Token],
                  comment_spans: list[tuple[int, int]],
                  comments_before: list[Sequence[int]], file: str):
         self.tokens = tokens
-        self.comments = comments
         self.comment_spans = comment_spans  # (start, end) offsets per comment
         # for each token index, indices of comments between it and the
         # previous token (one shared empty tuple when there are none)
@@ -102,7 +101,6 @@ _new_tuple = tuple.__new__
 
 def tokenize(source: str, file: str) -> LexedSource:
     tokens: list[Token] = []
-    comments: list[Comment] = []
     comment_spans: list[tuple[int, int]] = []
     comments_before: list[Sequence[int]] = []
     pending: Sequence[int] = _NO_COMMENTS
@@ -124,13 +122,10 @@ def tokenize(source: str, file: str) -> LexedSource:
             break
         text = source[start:end]
         if kind == "comment":
-            is_doc = text.startswith("/**") and len(text) > 4
-            comments.append(
-                Comment(text, SourcePosition(file, line, column), is_doc))
             comment_spans.append((start, end))
             if not pending:
                 pending = []
-            pending.append(len(comments) - 1)
+            pending.append(len(comment_spans) - 1)
         else:
             if kind == "ident":
                 text = intern(text)
@@ -155,4 +150,4 @@ def tokenize(source: str, file: str) -> LexedSource:
 
     tokens.append(Token("eof", "", line, column, end))
     comments_before.append(pending)
-    return LexedSource(tokens, comments, comment_spans, comments_before, file)
+    return LexedSource(tokens, comment_spans, comments_before, file)

@@ -477,9 +477,11 @@ def test_damaged_fig1_is_analyzed_or_skipped(capsys, jre_mini_path, source):
     assert doc["project"] == "fig1"
 
 
-# 1500 string terms make a left-deep chain of 1499 Binary nodes, deeper than
-# the default recursion limit; calls sit at both ends of the chain, inside a
-# try, and the handler logs another long concatenation
+# 1500 string terms make a chain of 1499 `+` operators, which a recursive
+# parse or walk would take deeper than the default recursion limit; the
+# parser reads the chain in a loop and keeps one Operands node of the calls
+# at both ends of it, inside a try, and the handler logs another long
+# concatenation
 TERMS = " + ".join(f'"s{i}"' for i in range(1500))
 CONCATENATION = (
     "package demo;\n"

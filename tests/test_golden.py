@@ -1,9 +1,12 @@
-"""Report bytes pinned: every output of `analyze` and `lint` on two trees,
-and the diagnostics that `analyze` writes to stderr, compared byte for
-byte with the files under tests/data/golden.
+"""Report bytes pinned: every output of `analyze` and `lint` on three
+trees, and the diagnostics that `analyze` writes to stderr, compared byte
+for byte with the files under tests/data/golden.
 
-The trees are fig1 and the project of a seeded cyclic `_corpus.py` corpus
-(seed 3: recursive calls, nested tries, external methods). Each command
+The trees are fig1, the project of a seeded cyclic `_corpus.py` corpus
+(seed 3: recursive calls, nested tries, external methods), and
+tests/data/expressions, which puts a call in every operator form, gives
+calls every receiver shape and every reason to stay unresolved, and wraps
+caught exceptions in throws through operators, casts and lambdas. Each command
 runs through cli.main from the directory that holds the tree, so the paths
 in the reports are relative and the same on every machine. A change that
 alters a report on purpose updates these files in the same commit.
@@ -19,6 +22,7 @@ from _corpus import generate_corpus, platform_document_multi, render_app
 from exflow.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+TREES = ["fig1", "cyclic", "expressions"]
 CSV_TABLES = ("actions.csv", "diversity.csv", "sources.csv",
               "strategies.csv", "tryblocks.csv")
 
@@ -27,8 +31,8 @@ def _make_tree(tree: str, root: Path, fig1_dir: Path,
                jre_mini_path: Path) -> Path:
     """The project directory `root/tree` and the platform file to run on."""
     project = root / tree
-    if tree == "fig1":
-        shutil.copytree(fig1_dir, project)
+    if tree != "cyclic":
+        shutil.copytree(fig1_dir.parent / tree, project)
         return Path(shutil.copy(jre_mini_path, root / "platform.json"))
     # App.java declares no exception classes, so the corpus exception types
     # go into the platform file, which must declare every exception that
@@ -63,7 +67,7 @@ def outputs(tree: str, root: Path, fig1_dir: Path, jre_mini_path: Path,
     return found
 
 
-@pytest.mark.parametrize("tree", ["fig1", "cyclic"])
+@pytest.mark.parametrize("tree", TREES)
 def test_outputs_match_golden_bytes(tree, tmp_path, monkeypatch, capsys,
                                     fig1_dir, jre_mini_path):
     monkeypatch.chdir(tmp_path)
@@ -77,7 +81,7 @@ def test_outputs_match_golden_bytes(tree, tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("out", [[], ["--out", "-"]])
-@pytest.mark.parametrize("tree", ["fig1", "cyclic"])
+@pytest.mark.parametrize("tree", TREES)
 def test_analyze_stdout_matches_golden_bytes(tree, out, tmp_path,
                                              monkeypatch, capsys, fig1_dir,
                                              jre_mini_path):

@@ -95,17 +95,22 @@ def test_comments_collected_not_tokenized():
     source = "a // line\n/* block */ b /** doc comment */ c"
     lexed = tokenize(source, "T.java")
     assert [t.text for t in lexed.tokens if t.kind != "eof"] == ["a", "b", "c"]
-    assert [c.text for c in lexed.comments] == [
+    assert comment_texts(lexed) == [
         "// line", "/* block */", "/** doc comment */"]
-    assert [c.is_doc for c in lexed.comments] == [False, False, True]
+    assert [lexed.is_doc(i) for i in range(3)] == [False, False, True]
+
+
+def comment_texts(lexed):
+    return [lexed.comment_text(i) for i in range(len(lexed.comment_spans))]
 
 
 def test_empty_block_comment_is_not_doc():
     lexed = tokenize("/**/ x", "T.java")
-    assert lexed.comments[0].is_doc is False
+    assert lexed.is_doc(0) is False
     lexed = tokenize("a/**/b/***/c", "T.java")
     assert [t.text for t in lexed.tokens] == ["a", "b", "c", ""]
-    assert [c.text for c in lexed.comments] == ["/**/", "/***/"]
+    assert comment_texts(lexed) == ["/**/", "/***/"]
+    assert [lexed.is_doc(i) for i in range(2)] == [False, True]
 
 
 def test_comment_spans_cover_source_offsets():
@@ -152,8 +157,11 @@ def positions(source):
     tokens = [(t.kind, t.text, t.line, t.column, t.offset,
                list(lexed.comments_before(i)))
               for i, t in enumerate(lexed.tokens)]
-    comments = [(c.text, c.position.line, c.position.column)
-                for c in lexed.comments]
+    comments = []
+    for start, end in lexed.comment_spans:
+        line_start = source.rfind("\n", 0, start) + 1
+        comments.append((source[start:end], source.count("\n", 0, start) + 1,
+                         start - line_start + 1))
     return tokens, comments
 
 
@@ -206,11 +214,12 @@ def test_text_block_is_one_string_token():
 def test_text_block_parses_as_one_literal():
     unit = parse_compilation_unit(
         'class T {\n  void m() {\n    String s = """\n      hi "there"\n'
-        '      """;\n    f(s);\n  }\n}\n', "T.java")
+        '      """.strip();\n    f(s);\n  }\n}\n', "T.java")
     decl, call = unit.types[0].methods[0].body.statements
-    assert decl.declarations[0].initializer.text == (
+    assert decl.declarations[0].initializer.receiver.text == (
         '"""\n      hi "there"\n      """')
-    assert (call.position.line, call.position.column) == (6, 5)
+    assert (call.expression.position.line,
+            call.expression.position.column) == (6, 5)
 
 
 def test_unterminated_text_block_raises():
@@ -224,25 +233,25 @@ def test_hexadecimal_floating_literals():
         ("float", "0x1.8p1"), ("float", "0x1p-3"), ("float", "0X.8P+2f"),
         ("float", "0x1.p0d"), ("int", "0x1F")]
     unit = parse_compilation_unit(
-        "class T { double m() { return 0x1.8p1 + 0x1p-3; } }", "T.java")
+        "class T { int m() { return 0x1.8p1.hashCode() + 0x1p-3.hashCode(); } }",
+        "T.java")
     returned = unit.types[0].methods[0].body.statements[0].value
-    assert (returned.left.text, returned.right.text) == ("0x1.8p1", "0x1p-3")
+    assert [call.receiver.text for call in returned.parts] == [
+        "0x1.8p1", "0x1p-3"]
 
 
 # -- the token arrays against the token-tuple reference lexer ---------------
 
 def lexed_view(lexed):
-    """Tokens, comments, comment spans and the comment-to-token association
-    of the token arrays."""
+    """Tokens, comment spans and the comment-to-token association of the
+    token arrays. A span fixes a comment's text, position and doc-ness."""
     tokens = [tuple(token) for token in lexed.tokens]
-    return (tokens, [(c.text, c.position, c.is_doc) for c in lexed.comments],
-            lexed.comment_spans,
+    return (tokens, lexed.comment_spans,
             [list(lexed.comments_before(i)) for i in range(len(tokens))])
 
 
 def reference_view(lexed):
     return ([tuple(token) for token in lexed.tokens],
-            [(c.text, c.position, c.is_doc) for c in lexed.comments],
             lexed.comment_spans, [list(ci) for ci in lexed.comments_before])
 
 

@@ -30,7 +30,7 @@ CONFIG = config_from_dict({
                          "handlers.Fatal#stop(1)"],
 })
 
-# every node of a method body: statements, clauses, comments, expressions
+# every node of a method body: statements, clauses, expressions
 BODY_NODES = tuple(
     cls for cls in vars(ast).values()
     if isinstance(cls, type) and cls.__module__ == ast.__name__
