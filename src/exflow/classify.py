@@ -11,11 +11,11 @@ maps the record and the configuration to the clause's actions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .config import Config
 from .model import MethodId, SemanticModel, dotted_name, method_id_str
+from .record import Record
 from .syntax.ast import (
     Block, CatchClause, ExprStmt, Invocation, Name, NewInstance, VariableRef,
 )
@@ -45,8 +45,7 @@ class Action(enum.Enum):
 HandlerCall = tuple[str, int, Optional[str], Optional[MethodId]]
 
 
-@dataclass(frozen=True, slots=True)
-class HandlerRecord:
+class HandlerRecord(Record):
     """What one catch body does, as the action detectors read it. actions
     holds those that need no configuration: Empty and Default from the
     shape of the body; Todo, Continue, Return, NestedTry and the throw
@@ -54,8 +53,15 @@ class HandlerRecord:
     anonymous-class bodies included. calls holds every invocation in it.
     Nothing under a throw counts."""
 
-    actions: frozenset[Action]
-    calls: tuple[HandlerCall, ...]
+    __slots__ = ("actions", "calls")
+
+    def __init__(self, actions: frozenset[Action],
+                 calls: tuple[HandlerCall, ...]):
+        self.actions = actions
+        self.calls = calls
+
+    def __hash__(self) -> int:
+        return hash((self.actions, self.calls))
 
 
 def classify_strategy(fact_type: str, matched_type: str,

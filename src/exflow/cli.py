@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import gc
 import json
 import os
@@ -159,7 +158,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _load_config(args: argparse.Namespace) -> Config:
     config = load_config(args.config) if args.config else Config()
     if getattr(args, "transitive_origins", False):
-        config = dataclasses.replace(config, transitive_origins=True)
+        config = Config(
+            log_method_names=config.log_method_names,
+            abort_signatures=config.abort_signatures,
+            generic_catch_types=config.generic_catch_types,
+            exact_test_cutoff=config.exact_test_cutoff,
+            transitive_origins=True,
+            continuity_correction=config.continuity_correction)
     return config
 
 

@@ -7,11 +7,11 @@ a platform-model file may carry its own configuration in one document.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
 
 from .model import PlatformModelError, parse_signature
+from .record import Record
 from .syntax.errors import not_utf8
 
 DEFAULT_LOG_METHOD_NAMES = frozenset({
@@ -36,14 +36,36 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Config:
-    log_method_names: frozenset[str] = DEFAULT_LOG_METHOD_NAMES
-    abort_signatures: frozenset[str] = DEFAULT_ABORT_SIGNATURES
-    generic_catch_types: frozenset[str] = DEFAULT_GENERIC_CATCH_TYPES
-    exact_test_cutoff: int = 12
-    transitive_origins: bool = False
-    continuity_correction: bool = True
+class Config(Record):
+    __slots__ = ("log_method_names", "abort_signatures", "generic_catch_types",
+                 "exact_test_cutoff", "transitive_origins",
+                 "continuity_correction")
+
+    def __init__(self,
+                 log_method_names: frozenset[str] = DEFAULT_LOG_METHOD_NAMES,
+                 abort_signatures: frozenset[str] = DEFAULT_ABORT_SIGNATURES,
+                 generic_catch_types: frozenset[str] = (
+                     DEFAULT_GENERIC_CATCH_TYPES),
+                 exact_test_cutoff: int = 12,
+                 transitive_origins: bool = False,
+                 continuity_correction: bool = True):
+        self.log_method_names = log_method_names
+        self.abort_signatures = abort_signatures
+        self.generic_catch_types = generic_catch_types
+        self.exact_test_cutoff = exact_test_cutoff
+        self.transitive_origins = transitive_origins
+        self.continuity_correction = continuity_correction
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # __init__ sets each field once; nothing sets one again
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    def __hash__(self) -> int:
+        return hash((self.log_method_names, self.abort_signatures,
+                     self.generic_catch_types, self.exact_test_cutoff,
+                     self.transitive_origins, self.continuity_correction))
 
 
 _STRING_SET_KEYS = ("log_method_names", "abort_signatures", "generic_catch_types")
@@ -72,7 +94,7 @@ def config_from_dict(doc: object, source: str = "config") -> Config:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"{source}: config: unknown keys {sorted(unknown)}")
-    config = Config()
+    settings: dict[str, object] = {}
     for key in _STRING_SET_KEYS:
         if key in doc:
             value = doc[key]
@@ -81,7 +103,7 @@ def config_from_dict(doc: object, source: str = "config") -> Config:
                 raise ConfigError(f"{source}: config.{key}: expected a list of strings")
             if not value:
                 raise ConfigError(f"{source}: config.{key}: must not be empty")
-            config = replace(config, **{key: frozenset(value)})
+            settings[key] = frozenset(value)
     if "exact_test_cutoff" in doc:
         value = doc["exact_test_cutoff"]
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -91,13 +113,14 @@ def config_from_dict(doc: object, source: str = "config") -> Config:
             raise ConfigError(
                 f"{source}: config.exact_test_cutoff: {value} is above "
                 f"{MAX_EXACT_TEST_CUTOFF}, where the exact test gets too slow")
-        config = replace(config, exact_test_cutoff=value)
+        settings["exact_test_cutoff"] = value
     for key in _BOOL_KEYS:
         if key in doc:
             value = doc[key]
             if not isinstance(value, bool):
                 raise ConfigError(f"{source}: config.{key}: expected a boolean")
-            config = replace(config, **{key: value})
+            settings[key] = value
+    config = Config(**settings)
     for signature in config.abort_signatures:
         try:
             parse_signature(signature)

@@ -3,7 +3,6 @@ classify, aggregate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -14,19 +13,24 @@ from .flow import (
     try_blocks,
 )
 from .model import PlatformModel, SemanticModel, build_semantic_model
+from .record import Record
 from .report import ProjectReport, aggregate_project
 from .syntax import CompilationUnit, ParseError, parse_compilation_unit
 from .syntax.errors import not_utf8
 
 
-@dataclass
-class AnalysisResult:
-    model: SemanticModel
-    method_sets: MethodSets
-    # every try, partitioned and classified, in try_blocks order
-    bundles: list[TryRegion]
-    report: ProjectReport
-    diagnostics: list[str] = field(default_factory=list)
+class AnalysisResult(Record):
+    __slots__ = ("model", "method_sets", "bundles", "report", "diagnostics")
+
+    def __init__(self, model: SemanticModel, method_sets: MethodSets,
+                 bundles: list[TryRegion], report: ProjectReport,
+                 diagnostics: Optional[list[str]] = None):
+        self.model = model
+        self.method_sets = method_sets
+        # every try, partitioned and classified, in try_blocks order
+        self.bundles = bundles
+        self.report = report
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def analyze_project(project_dir: Union[str, Path], platform: PlatformModel,

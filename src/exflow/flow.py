@@ -47,7 +47,6 @@ with the same exception type at the same call site are merged.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Iterator, Optional, Union
 
@@ -59,6 +58,7 @@ from .model import (
     CorpusMethod, ExternalMethod, MethodId, Scope, SemanticModel,
     Unresolved, method_id_str,
 )
+from .record import Record
 from .syntax.ast import (
     Block, CatchClause, ContinueStmt, Expr, Invocation, Lambda, LocalDecl,
     LoopStmt, Name, NewInstance, ReturnStmt, SourcePosition, Statement,
@@ -78,9 +78,15 @@ class EvidenceKind(enum.Enum):
     EXTERNAL_DOCUMENTATION = "ExternalDocumentation"
 
 
-@dataclass(frozen=True)
-class LexicalThrowOrigin:
-    position: SourcePosition
+class LexicalThrowOrigin(Record):
+    # the __dict__ keeps label once it is worked out
+    __slots__ = ("position", "__dict__")
+
+    def __init__(self, position: SourcePosition):
+        self.position = position
+
+    def __hash__(self) -> int:
+        return hash((self.position,))
 
     @cached_property
     def label(self) -> str:
@@ -88,10 +94,20 @@ class LexicalThrowOrigin:
         return f"throw {self.position}"
 
 
-@dataclass(frozen=True)
-class CallSiteOrigin:
-    position: SourcePosition
-    callee: MethodId
+class CallSiteOrigin(Record):
+    """A call site. Every fact that its callee's set yields there holds it
+    and hashes it, so it is hashed once, as it is built."""
+
+    # the __dict__ keeps label once it is worked out
+    __slots__ = ("position", "callee", "_hash", "__dict__")
+
+    def __init__(self, position: SourcePosition, callee: MethodId):
+        self.position = position
+        self.callee = callee
+        self._hash = hash((position, callee))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def label(self) -> str:
@@ -102,56 +118,78 @@ class CallSiteOrigin:
 Origin = Union[LexicalThrowOrigin, CallSiteOrigin]
 
 
-@dataclass(frozen=True, slots=True)
-class PossibleException:
+class PossibleException(Record):
     """One exception type at one origin within a region.
 
     source_methods holds every method that contributed the type along the
     call chain when the method sets carry contributing methods (transitive
     mode), and is empty otherwise and for lexical throws. The directly
     invoked method of a call-site fact is its origin's callee.
+
+    A fact is hashed as it is built, once: the partition puts every fact
+    in a set or a dict at least once per try it reaches.
     """
 
-    type: str
-    origin: Origin
-    evidence: frozenset[EvidenceKind]
-    source_methods: frozenset[MethodId]
+    __slots__ = ("type", "origin", "evidence", "source_methods", "_hash")
+
+    def __init__(self, type: str, origin: Origin,
+                 evidence: frozenset[EvidenceKind],
+                 source_methods: frozenset[MethodId]):
+        self.type = type
+        self.origin = origin
+        self.evidence = evidence
+        self.source_methods = source_methods
+        self._hash = hash((type, origin, evidence, source_methods))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True, slots=True)
-class MethodFact:
+class MethodFact(Record):
     """Evidence kinds for one type in one method's set; sources holds the
     contributing methods in transitive mode and is empty otherwise."""
 
-    evidence: frozenset[EvidenceKind]
-    sources: frozenset[MethodId]
+    __slots__ = ("evidence", "sources")
+
+    def __init__(self, evidence: frozenset[EvidenceKind],
+                 sources: frozenset[MethodId]):
+        self.evidence = evidence
+        self.sources = sources
+
+    def __hash__(self) -> int:
+        return hash((self.evidence, self.sources))
 
 
 # per method, exception type -> merged fact
 MethodSets = dict[MethodId, dict[str, MethodFact]]
 
 
-@dataclass(slots=True)
-class Clause:
+class Clause(Record):
     """One catch clause as the analysis keeps it: its caught names resolved
     to type ids (a name that resolves to nothing is left out), those of
     them in the model (a fact can match only these), and what its handler
     does: the record that the lowering keeps until the driver classifies
     it into actions and lets it go."""
 
-    caught_types: tuple[str, ...]
-    position: SourcePosition
-    caught_ids: tuple[str, ...]
-    handler: Optional[HandlerRecord]
-    actions: Optional[frozenset[Action]] = None
+    __slots__ = ("caught_types", "position", "caught_ids", "handler",
+                 "actions")
+
+    def __init__(self, caught_types: tuple[str, ...],
+                 position: SourcePosition, caught_ids: tuple[str, ...],
+                 handler: Optional[HandlerRecord],
+                 actions: Optional[frozenset[Action]] = None):
+        self.caught_types = caught_types
+        self.position = position
+        self.caught_ids = caught_ids
+        self.handler = handler
+        self.actions = actions
 
     @property
     def id(self) -> str:
         return str(self.position)
 
 
-@dataclass(slots=True)
-class TryRegion:
+class TryRegion(Record):
     """One try statement as the analysis keeps it: its clauses, the union of
     their caught ids, the region of its body, and, once analyze_try_block
     has run for its method, its partition under the converged fixed point.
@@ -160,40 +198,57 @@ class TryRegion:
     the other facts that reach the body. The two are disjoint, and every
     fact that reaches the body is in one of them."""
 
-    position: SourcePosition
-    catches: tuple[Clause, ...]
-    caught: frozenset[str]
-    body: "Region"
-    handled: dict[PossibleException, tuple[Clause, str, Strategy]] = field(
-        default_factory=dict)
-    propagated: frozenset[PossibleException] = frozenset()
+    __slots__ = ("position", "catches", "caught", "body", "handled",
+                 "propagated")
+
+    def __init__(self, position: SourcePosition, catches: tuple[Clause, ...],
+                 caught: frozenset[str], body: Region,
+                 handled: Optional[dict[PossibleException,
+                                        tuple[Clause, str, Strategy]]] = None,
+                 propagated: frozenset[PossibleException] = frozenset()):
+        self.position = position
+        self.catches = catches
+        self.caught = caught
+        self.body = body
+        self.handled = {} if handled is None else handled
+        self.propagated = propagated
 
     @property
     def id(self) -> str:
         return str(self.position)
 
 
-@dataclass(slots=True)
-class Region:
+class Region(Record):
     """The sites whose exceptions reach a region unfiltered: its statements,
     their lambda and anonymous-class bodies, and the catch and finally
     bodies of the tries it holds. Those tries filter their own bodies."""
 
-    throws: list[PossibleException] = field(default_factory=list)
-    calls: list[CallSiteOrigin] = field(default_factory=list)
-    tries: list[TryRegion] = field(default_factory=list)
+    __slots__ = ("throws", "calls", "tries")
+
+    def __init__(self, throws: Optional[list[PossibleException]] = None,
+                 calls: Optional[list[CallSiteOrigin]] = None,
+                 tries: Optional[list[TryRegion]] = None):
+        self.throws = [] if throws is None else throws
+        self.calls = [] if calls is None else calls
+        self.tries = [] if tries is None else tries
 
 
-@dataclass(slots=True)
-class MethodSummary:
+class MethodSummary(Record):
     """A corpus method body lowered once for every consumer."""
 
-    own: dict[str, frozenset[EvidenceKind]]  # declared and doc-tagged kinds
-    body: Region
-    tries: list[TryRegion]  # in lowering order: a try before those it holds
-    callees: set[MethodId] = field(default_factory=set)
-    # the method sets the tries were partitioned under
-    partitioned_under: Optional[MethodSets] = None
+    __slots__ = ("own", "body", "tries", "callees", "partitioned_under")
+
+    def __init__(self, own: dict[str, frozenset[EvidenceKind]], body: Region,
+                 tries: list[TryRegion],
+                 callees: Optional[set[MethodId]] = None,
+                 partitioned_under: Optional[MethodSets] = None):
+        self.own = own  # declared and doc-tagged kinds
+        self.body = body
+        # in lowering order: a try before those it holds
+        self.tries = tries
+        self.callees = set() if callees is None else callees
+        # the method sets the tries were partitioned under
+        self.partitioned_under = partitioned_under
 
 
 def method_summary(model: SemanticModel, method: CorpusMethod) -> MethodSummary:

@@ -7,11 +7,10 @@ the configured catch-all types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import Config
 from .model import Recoverability, SemanticModel
 from .flow import TryRegion
+from .record import Record
 from .report import _Memo
 from .syntax.ast import SourcePosition
 
@@ -24,12 +23,19 @@ RULE_FLAGS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class LintFinding:
-    rule: str
-    position: SourcePosition
-    subject: str  # exception type (RecoverablePropagated) or caught type
-    message: str
+class LintFinding(Record):
+    __slots__ = ("rule", "position", "subject", "message")
+
+    def __init__(self, rule: str, position: SourcePosition, subject: str,
+                 message: str):
+        self.rule = rule
+        self.position = position
+        # exception type (RecoverablePropagated) or caught type
+        self.subject = subject
+        self.message = message
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.position, self.subject, self.message))
 
     def render(self) -> str:
         return f"{self.position}: {self.rule}: {self.message}"

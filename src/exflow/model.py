@@ -21,10 +21,10 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
+from .record import Record
 from .syntax.ast import (
     Cast, CompilationUnit, Expr, FieldAccess, Invocation, Literal,
     MethodDecl, Name, NewInstance, TypeDecl,
@@ -76,24 +76,38 @@ def parse_signature(signature: str) -> MethodId:
 # Platform model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class PlatformType:
-    name: str
-    superclass: Optional[str]
-    kind: str
-    recoverable: Optional[bool] = None
+class PlatformType(Record):
+    __slots__ = ("name", "superclass", "kind", "recoverable")
+
+    def __init__(self, name: str, superclass: Optional[str], kind: str,
+                 recoverable: Optional[bool] = None):
+        self.name = name
+        self.superclass = superclass
+        self.kind = kind
+        self.recoverable = recoverable
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.superclass, self.kind, self.recoverable))
 
 
-@dataclass(frozen=True, slots=True)
-class PlatformMethod:
-    id: MethodId
-    throws: tuple[str, ...]
+class PlatformMethod(Record):
+    __slots__ = ("id", "throws")
+
+    def __init__(self, id: MethodId, throws: tuple[str, ...]):
+        self.id = id
+        self.throws = throws
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.throws))
 
 
-@dataclass(slots=True)
-class PlatformModel:
-    types: dict[str, PlatformType] = field(default_factory=dict)
-    methods: dict[MethodId, PlatformMethod] = field(default_factory=dict)
+class PlatformModel(Record):
+    __slots__ = ("types", "methods")
+
+    def __init__(self, types: Optional[dict[str, PlatformType]] = None,
+                 methods: Optional[dict[MethodId, PlatformMethod]] = None):
+        self.types = {} if types is None else types
+        self.methods = {} if methods is None else methods
 
 
 def load_platform_model(path: Union[str, Path], *, require_closed: bool = True) -> PlatformModel:
@@ -227,33 +241,48 @@ def validate_platform_closure(platform: PlatformModel,
 # Semantic model
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class TypeEntry:
-    id: str
-    superclass: Optional[str]  # resolved type id
-    platform: Optional[PlatformType] = None  # None for a corpus type
+class TypeEntry(Record):
+    __slots__ = ("id", "superclass", "platform")
+
+    def __init__(self, id: str, superclass: Optional[str],
+                 platform: Optional[PlatformType] = None):
+        self.id = id
+        self.superclass = superclass  # resolved type id
+        self.platform = platform  # None for a corpus type
 
 
-@dataclass(slots=True)
-class CorpusMethod:
-    id: MethodId
-    decl: MethodDecl
-    owner: TypeDecl
-    unit: CompilationUnit
-    # lowered, and its calls resolved, on first use by flow.method_summary
-    summary: Optional["MethodSummary"] = field(default=None, repr=False,
-                                               compare=False)
+class CorpusMethod(Record):
+    __slots__ = ("id", "decl", "owner", "unit", "summary")
+    _unequal = ("summary",)
+
+    def __init__(self, id: MethodId, decl: MethodDecl, owner: TypeDecl,
+                 unit: CompilationUnit,
+                 summary: Optional[MethodSummary] = None):
+        self.id = id
+        self.decl = decl
+        self.owner = owner
+        self.unit = unit
+        # lowered, and its calls resolved, on first use by
+        # flow.method_summary
+        self.summary = summary
 
 
-@dataclass(slots=True)
-class ExternalMethod:
-    id: MethodId
-    documented: tuple[str, ...]  # exception type ids
+class ExternalMethod(Record):
+    __slots__ = ("id", "documented")
+
+    def __init__(self, id: MethodId, documented: tuple[str, ...]):
+        self.id = id
+        self.documented = documented  # exception type ids
 
 
-@dataclass(frozen=True, slots=True)
-class Unresolved:
-    reason: str
+class Unresolved(Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def __hash__(self) -> int:
+        return hash((self.reason,))
 
 
 class SemanticModel:

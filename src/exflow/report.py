@@ -9,14 +9,12 @@ inputs produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import ExitStack, contextmanager
 from itertools import chain
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Optional, TextIO, Union
@@ -24,6 +22,7 @@ from typing import Callable, Iterator, Optional, TextIO, Union
 from .classify import Strategy
 from .flow import EvidenceKind, TryRegion, attribute_sources
 from .model import Recoverability, SemanticModel
+from .record import Record
 
 DIVERSITY_BUCKETS = ("1", "2", "3", "4", "5", ">5")
 
@@ -32,69 +31,97 @@ STRATEGY_LABELS = {Strategy.SPECIFIC: "specific",
 PROPAGATED_LABEL = "propagated"
 
 
-@dataclass(slots=True)
-class TypeAttribution:
-    type: str
-    distinct_methods: int
-    evidence: list[str]
-    strategy: str  # specific | subsumption | propagated
+class TypeAttribution(Record):
+    __slots__ = ("type", "distinct_methods", "evidence", "strategy")
+
+    def __init__(self, type: str, distinct_methods: int, evidence: list[str],
+                 strategy: str):
+        self.type = type
+        self.distinct_methods = distinct_methods
+        self.evidence = evidence
+        self.strategy = strategy  # specific | subsumption | propagated
 
 
-@dataclass(slots=True)
-class FactRow:
-    type: str
-    origin: str
-    evidence: list[str]
-    handled: bool
+class FactRow(Record):
+    __slots__ = ("type", "origin", "evidence", "handled")
+
+    def __init__(self, type: str, origin: str, evidence: list[str],
+                 handled: bool):
+        self.type = type
+        self.origin = origin
+        self.evidence = evidence
+        self.handled = handled
 
 
-@dataclass(slots=True)
-class HandlerRow:
-    catch_id: str
-    actions: list[str]
+class HandlerRow(Record):
+    __slots__ = ("catch_id", "actions")
+
+    def __init__(self, catch_id: str, actions: list[str]):
+        self.catch_id = catch_id
+        self.actions = actions
 
 
-@dataclass(slots=True)
-class TryRow:
-    try_id: str
-    file: str
-    line: int
-    total: int
-    propagated: int
-    propagated_recoverable: int
-    exceptions: list[TypeAttribution]
-    facts: list[FactRow]
-    handlers: list[HandlerRow]
+class TryRow(Record):
+    __slots__ = ("try_id", "file", "line", "total", "propagated",
+                 "propagated_recoverable", "exceptions", "facts", "handlers")
+
+    def __init__(self, try_id: str, file: str, line: int, total: int,
+                 propagated: int, propagated_recoverable: int,
+                 exceptions: list[TypeAttribution], facts: list[FactRow],
+                 handlers: list[HandlerRow]):
+        self.try_id = try_id
+        self.file = file
+        self.line = line
+        self.total = total
+        self.propagated = propagated
+        self.propagated_recoverable = propagated_recoverable
+        self.exceptions = exceptions
+        self.facts = facts
+        self.handlers = handlers
 
 
-@dataclass(slots=True)
-class Totals:
-    try_blocks: int
-    catch_clauses: int
-    methods: int
-    distinct_exception_types: int
+class Totals(Record):
+    __slots__ = ("try_blocks", "catch_clauses", "methods",
+                 "distinct_exception_types")
+
+    def __init__(self, try_blocks: int, catch_clauses: int, methods: int,
+                 distinct_exception_types: int):
+        self.try_blocks = try_blocks
+        self.catch_clauses = catch_clauses
+        self.methods = methods
+        self.distinct_exception_types = distinct_exception_types
 
 
-@dataclass(slots=True)
-class Diversity:
-    total_types: int
-    buckets: dict[str, float]
+class Diversity(Record):
+    __slots__ = ("total_types", "buckets")
+
+    def __init__(self, total_types: int, buckets: dict[str, float]):
+        self.total_types = total_types
+        self.buckets = buckets
 
 
-@dataclass(slots=True)
-class ProjectReport:
-    project: str
-    totals: Totals
-    try_blocks: Sequence[TryRow]  # a list when loaded from JSON
-    diversity: Diversity
+class ProjectReport(Record):
+    __slots__ = ("project", "totals", "try_blocks", "diversity")
+
+    def __init__(self, project: str, totals: Totals,
+                 try_blocks: Sequence[TryRow], diversity: Diversity):
+        self.project = project
+        self.totals = totals
+        self.try_blocks = try_blocks  # a list when loaded from JSON
+        self.diversity = diversity
 
 
-@dataclass(slots=True)
-class CoverageSummary:
+class CoverageSummary(Record):
     """Per-evidence-kind fact counts with pairwise overlaps."""
-    total_facts: int
-    counts: dict[str, int]
-    overlaps: dict[str, int] = field(default_factory=dict)  # "KindA&KindB"
+
+    __slots__ = ("total_facts", "counts", "overlaps")
+
+    def __init__(self, total_facts: int, counts: dict[str, int],
+                 overlaps: Optional[dict[str, int]] = None):
+        self.total_facts = total_facts
+        self.counts = counts
+        # "KindA&KindB" -> count
+        self.overlaps = {} if overlaps is None else overlaps
 
 
 def aggregate_project(regions: list[TryRegion], model: SemanticModel,
@@ -358,6 +385,8 @@ def emit_csv_tables(reports: list[ProjectReport],
     """The five CSV tables, rows from all reports in input order: first
     diversity, then the other four in one pass over each report's rows. A
     failure removes each table still open."""
+    import csv  # here, so that a run that writes no CSV never loads it
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     headers = {

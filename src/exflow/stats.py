@@ -10,15 +10,21 @@ the exact count stays in integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from .record import Record
 
-@dataclass(frozen=True)
-class StatResult:
-    statistic: float  # Mann-Whitney U of the first sample
-    p_value: float
-    method: str  # "exact" | "normal-approximation"
+
+class StatResult(Record):
+    __slots__ = ("statistic", "p_value", "method")
+
+    def __init__(self, statistic: float, p_value: float, method: str):
+        self.statistic = statistic  # Mann-Whitney U of the first sample
+        self.p_value = p_value
+        self.method = method  # "exact" | "normal-approximation"
+
+    def __hash__(self) -> int:
+        return hash((self.statistic, self.p_value, self.method))
 
 
 def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float], *,

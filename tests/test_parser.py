@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import importlib.util
 import random
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import iter_statements, try_statements_in
+from exflow.record import Record, fields
 from exflow.syntax import ParseError, parse_compilation_unit
 from exflow.syntax import ast
 from exflow.syntax.ast import (
@@ -674,10 +674,10 @@ def shape(node):
     list or tuple of nodes as a list."""
     if isinstance(node, (list, tuple)):
         return [shape(item) for item in node]
-    if dataclasses.is_dataclass(node):
+    if isinstance(node, Record):
         return (type(node).__name__,) + tuple(
-            shape(getattr(node, f.name)) for f in dataclasses.fields(node)
-            if f.compare and f.name not in ("position", "span", "comments"))
+            shape(getattr(node, name)) for name in fields(node)
+            if name not in ("position", "span", "comments"))
     return node
 
 
@@ -861,8 +861,8 @@ def reads_something(expr):
             return True
         if isinstance(node, Lambda) and isinstance(node.body, Block):
             return True
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
+        for name in fields(node):
+            value = getattr(node, name)
             values = value if isinstance(value, (list, tuple)) else [value]
             stack.extend(v for v in values
                          if isinstance(v, EXPRESSIONS_CLASSES))
@@ -878,16 +878,16 @@ def call_free_operands(node, in_throw=False):
         in_throw = True
     elif isinstance(node, Block):
         in_throw = False
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in fields(node):
+        value = getattr(node, name)
         values = value if isinstance(value, (list, tuple)) else [value]
         for item in values:
-            if not dataclasses.is_dataclass(item):
+            if not isinstance(item, Record):
                 continue
             if (isinstance(item, EXPRESSIONS_CLASSES) and not in_throw
-                    and (type(node).__name__, f.name) not in SHAPE_FIELDS
+                    and (type(node).__name__, name) not in SHAPE_FIELDS
                     and not reads_something(item)):
-                found.append((type(node).__name__, f.name))
+                found.append((type(node).__name__, name))
             found.extend(call_free_operands(item, in_throw))
     return found
 
@@ -918,8 +918,8 @@ def test_no_call_free_operand_remains_outside_a_throw():
 
 def walk_all(node):
     yield node
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in fields(node):
+        value = getattr(node, name)
         for item in value if isinstance(value, (list, tuple)) else [value]:
-            if dataclasses.is_dataclass(item):
+            if isinstance(item, Record):
                 yield from walk_all(item)

@@ -1,18 +1,21 @@
-"""The classes exflow builds in bulk are slotted dataclasses: an instance
+"""The classes exflow builds in bulk are slotted records: an instance
 holds its fields and no per-instance __dict__."""
-
-import dataclasses
 
 import pytest
 
 from exflow import flow, model, report
+from exflow.classify import HandlerRecord
+from exflow.config import Config
+from exflow.driver import AnalysisResult
 from exflow.lint import LintFinding
+from exflow.record import Record
+from exflow.stats import StatResult
 from exflow.syntax import ast
 
 from _clauses import possible
 
 TREE = [cls for cls in vars(ast).values()
-        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        if isinstance(cls, type) and issubclass(cls, Record)
         and cls.__module__ == ast.__name__]
 SLOTTED = [
     *TREE,
@@ -21,7 +24,7 @@ SLOTTED = [
     model.PlatformType, model.PlatformMethod, model.PlatformModel,
     model.TypeEntry, model.CorpusMethod, model.ExternalMethod,
     model.Unresolved,
-    LintFinding,
+    LintFinding, HandlerRecord, Config, StatResult, AnalysisResult,
     report.TypeAttribution, report.FactRow, report.HandlerRow,
     report.TryRow, report.Totals, report.Diversity, report.ProjectReport,
     report.CoverageSummary,
